@@ -8,7 +8,10 @@
 //     iteration. The merge loop is exactly the engine's proxy-side summation
 //     (label lookup -> accumulator -> cell-wise add of the serialized words);
 //     reported as merge words/s and allocations/iteration, measured after a
-//     warmup so capacity-retaining structures are warm.
+//     warmup so capacity-retaining structures are warm. Sketches travel in
+//     the compact wire form (used prefixes only, sketch/l0_sampler.hpp), so
+//     words/s counts payload words actually merged; wall_ms is the figure
+//     comparable across wire formats.
 //
 //  2. full engine — connectivity and MST runs with allocations/superstep,
 //     the end-to-end number the registry/pool rework moves.
@@ -88,7 +91,7 @@ MergeRow run_merge(const GraphSketchBuilder& builder,
       if (created) {
         idx = pool.acquire_index(builder.universe(), builder.params(), builder.seed());
       }
-      pool.at(idx).add_serialized(r);
+      KMM_CHECK(pool.at(idx).add_serialized(r));
     }
     sums.for_each_sorted([&](Label label, std::uint32_t idx) {
       row.checksum += pool.at(idx).is_zero() ? 0 : 1 + label;
@@ -123,7 +126,10 @@ int main() {
   const DistributedGraph dg(g, VertexPartition::random(kSketchN, kParts, 7));
   const GraphSketchBuilder builder(kSketchN, /*seed=*/11);
   const auto inbox = build_inbox(builder, dg);
-  std::size_t words_per_msg = inbox.front().size() - 1;
+  // Compact sketch payloads vary in length: report the mean (label excluded).
+  std::size_t words_per_msg = 0;
+  for (const auto& msg : inbox) words_per_msg += msg.size() - 1;
+  words_per_msg /= inbox.size();
 
   const auto merge = run_merge(builder, inbox);
   std::printf("\nsketch-merge plane: %zu labels x %zu parts, %zu words/sketch\n", kLabels,

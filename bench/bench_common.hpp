@@ -1,10 +1,12 @@
 #pragma once
-// Shared helpers for the experiment harnesses (E1..E13 in DESIGN.md).
+// Shared helpers for the experiment harnesses (the bench_* binaries, one
+// per quantitative claim of the paper).
 //
 // Each bench binary regenerates one of the paper's quantitative claims and
 // prints a self-contained table: the claim, the measured series, and the
 // derived columns that make the comparison (normalized rounds, log-log
-// slopes). EXPERIMENTS.md records paper-vs-measured from these outputs.
+// slopes). The repository benchmark — named end-to-end workloads with
+// regression bounds — is perfbench/ (see perfbench/README.md).
 
 #include <algorithm>
 #include <chrono>
@@ -201,7 +203,7 @@ inline TimedResult run_mst_timed(const Graph& g, MachineId k, std::uint64_t seed
 
 /// Machine-readable perf trajectory: every record() appends a JSON object;
 /// the destructor writes BENCH_<name>.json into the working directory so CI
-/// and the EXPERIMENTS.md tooling can track rounds and wall-clock across
+/// and bench/aggregate_bench.py can track rounds and wall-clock across
 /// commits without scraping the human-readable tables.
 class BenchJson {
  public:

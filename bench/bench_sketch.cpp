@@ -129,7 +129,7 @@ void BM_MergeAddSerialized(benchmark::State& state) {
   L0Sampler acc(kUniverse, params, 41);
   for (auto _ : state) {
     WordReader r(words);
-    acc.add_serialized(r);
+    benchmark::DoNotOptimize(acc.add_serialized(r));
     benchmark::DoNotOptimize(acc);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * words.size()));

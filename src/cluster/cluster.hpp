@@ -18,8 +18,8 @@
 // link needs that many rounds). Self-addressed messages are local and free.
 //
 // The engine keeps a full ledger (rounds, messages, bits, per-superstep
-// per-link maxima, per-machine traffic) — the measurements every benchmark
-// in EXPERIMENTS.md is built on.
+// per-link maxima, per-machine traffic) — the measurements every bench_*
+// binary and the perfbench workloads (perfbench/README.md) are built on.
 //
 // Execution paths: algorithms either send() directly (sequential; staged
 // sends are delivered and accounted by deliver_pending() in one ordered

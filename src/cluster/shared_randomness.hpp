@@ -12,8 +12,10 @@
 //  * cost     — charge_distribution() charges the exact round count of the
 //               relay protocol: 2 * ceil(bits / (k-1)) rounds;
 //  * function — seeds derived deterministically from the master seed stand
-//               in for the shared bits (see DESIGN.md §1 for why a PRF is a
-//               faithful substitute at simulation scale).
+//               in for the shared bits. A PRF is a faithful substitute at
+//               simulation scale: no test can tell it from the d-wise
+//               independent family, and ProxyMapTest.PrfMatchesDWiseLoadBalance
+//               (tests/test_cluster.cpp) checks the proxy loads balance alike.
 
 #include <cstdint>
 

@@ -33,6 +33,10 @@ constexpr std::uint32_t kTagCountBcast = 16;
 constexpr std::uint64_t kDirectiveContinue = 0;
 constexpr std::uint64_t kDirectiveFinished = 1;
 
+// Set on a proxy's per-label sum slot (a SketchPool index) once one of the
+// label's incoming sketches failed to decode; the sum is then unusable.
+constexpr std::uint32_t kMalformedSum = 1u << 31;
+
 }  // namespace
 
 std::vector<std::pair<Vertex, Vertex>> BoruvkaResult::forest_edges() const {
@@ -234,8 +238,11 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
     // Proxy side: apply handoffs first so records exist before this
     // iteration's sketches are merged, then sum per-label sketches and run
     // the state transitions on the combined result. Incoming sketches are
-    // merged wire-level: serialized cells add straight off the payload into
-    // a pooled accumulator (add_serialized) — no per-message deserialize.
+    // merged wire-level: compact serialized prefixes add straight off the
+    // payload into a pooled accumulator (add_serialized) — no per-message
+    // deserialize. A payload the decoder rejects (a tampered length header)
+    // marks the label's sum unusable; its transition below takes the
+    // recovery-failed branch and retries with fresh seeds.
     runtime_.step([&](MachineId i, std::span<const Message> inbox, Outbox& out) {
       for (const auto& msg : inbox) {
         if (msg.tag == kTagHandoff) {
@@ -263,16 +270,19 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
         if (sum_created) {
           sum_idx = pool.acquire_index(builder.universe(), builder.params(), builder.seed());
         }
-        pool.at(sum_idx).add_serialized(r);
+        if ((sum_idx & kMalformedSum) == 0 && !pool.at(sum_idx).add_serialized(r)) {
+          sum_idx |= kMalformedSum;
+        }
       }
 
       // State transitions for components whose combined sketch arrived, in
       // ascending label order (the wire order the ledger pins).
       sums.for_each_sorted([&](Label label, std::uint32_t sum_idx) {
-        L0Sampler& sum = pool.at(sum_idx);
+        const L0Sampler* sum =
+            (sum_idx & kMalformedSum) == 0 ? &pool.at(sum_idx) : nullptr;
         Record& rec = proxy_records_[i].at(label);
         KMM_CHECK(rec.state == kSearching);
-        if (sum.is_zero()) {
+        if (sum != nullptr && sum->is_zero()) {
           if (rec.has_candidate) {
             // No outgoing edge lighter than the candidate: MWOE confirmed.
             rec.state = kAwaitLabel;
@@ -286,9 +296,10 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
           }
           return;
         }
-        const auto sampled = sum.sample();
+        const auto sampled = sum != nullptr ? sum->sample() : std::nullopt;
         if (!sampled) {
-          // Nonzero vector but recovery failed: retry with fresh seeds.
+          // Nonzero vector (or malformed sketch) but recovery failed: retry
+          // with fresh seeds.
           ++sampler_retries_by_machine_[i];
           mask_for_each(rec.srcs, [&](MachineId m) {
             out.send(m, kTagDirective, {label, kDirectiveContinue, rec.thr},

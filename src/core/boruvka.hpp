@@ -48,8 +48,11 @@
 //    (tests/test_alloc_steady_state.cpp and bench_boruvka_hotpath measure
 //    this);
 //  * incoming sketches are merged wire-level — L0Sampler::add_serialized
-//    adds 3-word cells straight off the message payload into a pooled
-//    accumulator; no per-message sketch is ever materialized.
+//    adds each copy's used prefix of 3-word cells (the compact wire form,
+//    sketch/l0_sampler.hpp) straight off the message payload into a pooled
+//    accumulator; no per-message sketch is ever materialized, and only
+//    cells some update touched are moved or added. A payload the decoder
+//    rejects counts as a failed recovery (sampler_retries), never an abort.
 //
 // Modes:
 //  * kConnectivity — samples any outgoing edge; merge edges form a spanning
@@ -152,7 +155,7 @@ struct BoruvkaResult {
 
   std::vector<PhaseTrace> phases;
   std::uint32_t max_merge_iterations = 0;   // max DRR merge depth over phases
-  std::uint64_t sampler_retries = 0;        // sample() failures on nonzero sketches
+  std::uint64_t sampler_retries = 0;  // sample() failures on nonzero or undecodable sketches
   RunStats stats;
 
   /// All forest/MST edges flattened (deduplicated, sorted).
@@ -279,8 +282,9 @@ class BoruvkaEngine {
 
   // Proxy-side records for the current proxy generation.
   std::vector<LabelRegistry<Record>> proxy_records_;
-  // Per-superstep proxy accumulators: label -> pooled sketch index; lives
-  // only within the proxy handler of one elimination iteration.
+  // Per-superstep proxy accumulators: label -> pooled sketch index (high
+  // bit set once a sketch for the label failed to decode); lives only
+  // within the proxy handler of one elimination iteration.
   std::vector<LabelRegistry<std::uint32_t>> sum_slots_;
   // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
   // draw zeroed accumulators from here instead of constructing sketches.

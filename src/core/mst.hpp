@@ -7,7 +7,8 @@
 // sketch-restriction loop per component until the restricted sketch is
 // *verifiably empty*, so the reported edge is the exact MWOE (not merely
 // w.h.p. — the is_zero test turns the sampling loop into a Las Vegas
-// confirmation; see DESIGN.md §4).
+// confirmation: a nonzero restricted sketch passes is_zero only with
+// probability <= (U/p)^copies, see L0Sampler::is_zero).
 
 #include "core/boruvka.hpp"
 

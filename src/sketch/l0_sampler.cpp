@@ -19,7 +19,17 @@ L0Params L0Params::for_universe(std::uint64_t universe, int copies) {
 L0Sampler::L0Sampler(std::uint64_t universe, L0Params params, std::uint64_t seed)
     : universe_(universe), params_(params), seed_(seed) {
   KMM_CHECK(universe >= 1 && params.levels >= 1 && params.copies >= 1);
+  KMM_CHECK_MSG(params.copies <= kMaxCopies, "l0 sampler supports at most kMaxCopies copies");
   cells_.resize(static_cast<std::size_t>(params_.cells()));
+  bind_seed(seed);
+}
+
+void L0Sampler::bind_seed(std::uint64_t seed) noexcept {
+  seed_ = seed;
+  for (int c = 0; c < params_.copies; ++c) {
+    level_seed_[static_cast<std::size_t>(c)] =
+        split3(seed_, 0x1e7e, static_cast<std::uint64_t>(c));
+  }
 }
 
 std::uint64_t L0Sampler::fingerprint_base(int copy) const {
@@ -29,10 +39,6 @@ std::uint64_t L0Sampler::fingerprint_base(int copy) const {
 std::uint64_t L0Sampler::fingerprint_base_for(std::uint64_t seed, int copy) {
   // Nonzero field element derived from the shared seed.
   return 2 + split3(seed, 0xf1a9, static_cast<std::uint64_t>(copy)) % (kMersenne61 - 2);
-}
-
-std::uint64_t L0Sampler::level_seed(int copy) const {
-  return split3(seed_, 0x1e7e, static_cast<std::uint64_t>(copy));
 }
 
 int L0Sampler::level_of(std::uint64_t index, int copy) const {
@@ -47,12 +53,14 @@ void L0Sampler::update(std::uint64_t index, int value,
   for (int c = 0; c < params_.copies; ++c) {
     const int top = level_of(index, c);
     const std::uint64_t rp = r_pow_index_per_copy[c];
-    for (int l = 0; l <= top; ++l) cell(c, l).update(index, value, rp);
+    OneSparseCell* cells = copy_cells(c);
+    for (int l = 0; l <= top; ++l) cells[l].update(index, value, rp);
+    used(c) = std::max(used(c), top + 1);
   }
 }
 
 void L0Sampler::update(std::uint64_t index, int value) {
-  std::vector<std::uint64_t> powers(static_cast<std::size_t>(params_.copies));
+  std::array<std::uint64_t, kMaxCopies> powers{};
   for (int c = 0; c < params_.copies; ++c) {
     powers[static_cast<std::size_t>(c)] = fp::pow(fingerprint_base(c), index);
   }
@@ -64,30 +72,61 @@ void L0Sampler::add(const L0Sampler& other) {
                     params_.levels == other.params_.levels &&
                     params_.copies == other.params_.copies,
                 "cannot combine sketches with different construction");
-  for (std::size_t i = 0; i < cells_.size(); ++i) cells_[i].add(other.cells_[i]);
-}
-
-void L0Sampler::add_serialized(WordReader& reader) {
-  const auto raw = reader.span(cells_.size() * 3);
-  const std::uint64_t* words = raw.data();
-  for (auto& cell : cells_) {
-    cell.add_raw(static_cast<std::int64_t>(words[0]), words[1], words[2]);
-    words += 3;
+  for (int c = 0; c < params_.copies; ++c) {
+    OneSparseCell* cells = copy_cells(c);
+    const OneSparseCell* theirs = other.copy_cells(c);
+    for (int l = 0; l < other.used(c); ++l) cells[l].add(theirs[l]);
+    used(c) = std::max(used(c), other.used(c));
   }
 }
 
+bool L0Sampler::add_serialized(WordReader& reader) {
+  // Validate the whole payload on a probe before touching a cell, so a
+  // malformed one leaves both the accumulator and `reader` as they were.
+  WordReader probe = reader;
+  const auto copies = static_cast<std::size_t>(params_.copies);
+  if (probe.remaining() < copies) return false;
+  const std::uint64_t* lengths = probe.span(copies).data();
+  std::size_t body_cells = 0;
+  for (std::size_t c = 0; c < copies; ++c) {
+    if (lengths[c] > static_cast<std::uint64_t>(params_.levels)) return false;
+    body_cells += static_cast<std::size_t>(lengths[c]);
+  }
+  if (probe.remaining() / 3 < body_cells) return false;
+  const std::uint64_t* words = probe.span(3 * body_cells).data();
+  reader = probe;
+
+  for (int c = 0; c < params_.copies; ++c) {
+    const int len = static_cast<int>(lengths[static_cast<std::size_t>(c)]);
+    OneSparseCell* cells = copy_cells(c);
+    for (int l = 0; l < len; ++l) {
+      cells[l].add_raw(static_cast<std::int64_t>(words[0]), words[1], words[2]);
+      words += 3;
+    }
+    used(c) = std::max(used(c), len);
+  }
+  return true;
+}
+
 void L0Sampler::reset(std::uint64_t seed) noexcept {
-  seed_ = seed;
-  std::fill(cells_.begin(), cells_.end(), OneSparseCell{});
+  bind_seed(seed);
+  // Cells past each used prefix are already zero.
+  for (int c = 0; c < params_.copies; ++c) {
+    OneSparseCell* cells = copy_cells(c);
+    std::fill(cells, cells + used(c), OneSparseCell{});
+    used(c) = 0;
+  }
 }
 
 std::optional<Recovered> L0Sampler::sample() const {
   // Scan levels from the full vector downward in sampling rate; the first
   // verified 1-sparse cell yields the sample. Copies give independence.
+  // Zero cells never recover, so each copy's scan stops at its used prefix.
   for (int c = 0; c < params_.copies; ++c) {
     const std::uint64_t r = fingerprint_base(c);
-    for (int l = 0; l < params_.levels; ++l) {
-      if (auto rec = cell(c, l).recover(r, universe_)) return rec;
+    const OneSparseCell* cells = copy_cells(c);
+    for (int l = 0; l < used(c); ++l) {
+      if (auto rec = cells[l].recover(r, universe_)) return rec;
     }
   }
   return std::nullopt;
@@ -97,7 +136,8 @@ bool L0Sampler::is_zero() const {
   // Level 0 of each copy sees every index; its fingerprint s2 is a random
   // polynomial evaluation, nonzero w.h.p. for nonzero vectors.
   for (int c = 0; c < params_.copies; ++c) {
-    if (cell(c, 0).s2() != 0 || cell(c, 0).s0() != 0) return false;
+    const OneSparseCell& level0 = copy_cells(c)[0];
+    if (level0.s2() != 0 || level0.s0() != 0) return false;
   }
   return true;
 }
@@ -107,23 +147,30 @@ std::uint64_t L0Sampler::wire_bits() const {
 }
 
 void L0Sampler::serialize(WordWriter& out) const {
-  out.reserve(out.size() + cells_.size() * 3);
-  for (const auto& cell : cells_) {
-    out.u64(static_cast<std::uint64_t>(cell.s0()));
-    out.u64(cell.s1());
-    out.u64(cell.s2());
+  out.reserve(out.size() + max_wire_words());
+  // Trim trailing all-zero cells (cancellations) so the form is canonical.
+  std::array<int, kMaxCopies> lengths{};
+  for (int c = 0; c < params_.copies; ++c) {
+    const OneSparseCell* cells = copy_cells(c);
+    int len = used(c);
+    while (len > 0 && cells[len - 1].all_zero()) --len;
+    lengths[static_cast<std::size_t>(c)] = len;
+    out.u64(static_cast<std::uint64_t>(len));
+  }
+  for (int c = 0; c < params_.copies; ++c) {
+    const OneSparseCell* cells = copy_cells(c);
+    for (int l = 0; l < lengths[static_cast<std::size_t>(c)]; ++l) {
+      out.u64(static_cast<std::uint64_t>(cells[l].s0()));
+      out.u64(cells[l].s1());
+      out.u64(cells[l].s2());
+    }
   }
 }
 
 L0Sampler L0Sampler::deserialize(std::uint64_t universe, L0Params params, std::uint64_t seed,
                                  WordReader& reader) {
   L0Sampler s(universe, params, seed);
-  for (auto& cell : s.cells_) {
-    const auto s0 = static_cast<std::int64_t>(reader.u64());
-    const std::uint64_t s1 = reader.u64();
-    const std::uint64_t s2 = reader.u64();
-    cell = OneSparseCell::from_raw(s0, s1, s2);
-  }
+  KMM_CHECK_MSG(s.add_serialized(reader), "malformed l0 sketch payload");
   return s;
 }
 

@@ -16,7 +16,34 @@
 // All randomness comes from `seed` — machines sharing a seed build
 // combinable sketches, which is how the k-machine algorithm ships per-part
 // sketches to proxies and sums them there.
+//
+// Prefix-compact representation. Because an update touches levels
+// 0..z(i) of each copy, the cells a sketch has ever touched in copy c form
+// a prefix [0, h_c) (`used` below; every cell at level >= h_c is zero).
+// reset(), add(), sample() and serialize() work on those prefixes only, so
+// a sketch of a small part — the common case in the Borůvka engine, a few
+// vertices and a dozen edges — costs O(used cells), not O(levels × copies).
+//
+// Wire form (serialize / add_serialized / deserialize), canonical for the
+// summarized vector:
+//
+//     len_0 len_1 ... len_{copies-1}            one header word per copy
+//     cells of copy 0 at levels [0, len_0)      3 words each: s0 s1 s2
+//     ...
+//     cells of copy copies-1 at [0, len_{copies-1})
+//
+// len_c is h_c with trailing all-zero cells trimmed, so two sketches of the
+// same vector serialize to the same words however they were built (summed
+// parts, cancellations, a recycled pooled sampler). The payload is
+// `copies + 3 * Σ len_c` words, at most max_wire_words().
+//
+// The *declared* size is still the full logical sketch: wire_bits() charges
+// every cell of every level and copy, the O(log^2 n)-bit sketch the paper's
+// bounds are stated for. The message's declared bits, not its payload
+// length, drive the ClusterStats ledger (cluster/message.hpp), so the
+// compact form changes what the simulator moves, never what it charges.
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -39,6 +66,10 @@ struct L0Params {
 
 class L0Sampler {
  public:
+  /// Upper bound on `copies`: per-copy level seeds and prefix lengths live
+  /// inline, so a sampler owns exactly one heap block (its cells).
+  static constexpr int kMaxCopies = 8;
+
   L0Sampler(std::uint64_t universe, L0Params params, std::uint64_t seed);
 
   /// Add `value` (±1) at `index`. O(1) expected cell updates per copy.
@@ -51,18 +82,21 @@ class L0Sampler {
   /// (O(log U) field mults per copy).
   void update(std::uint64_t index, int value);
 
-  /// Linear combination; other must share (universe, params, seed).
+  /// Linear combination; other must share (universe, params, seed). Touches
+  /// only `other`'s used prefixes.
   void add(const L0Sampler& other);
 
-  /// Linear combination with a sketch in wire form: adds the serialized
-  /// cells straight off `reader` (3 words per cell, one bounds check),
-  /// without materializing the sending sketch. Exactly equivalent to
-  /// deserialize() + add(), minus the heap-allocated intermediate — the
-  /// proxy-side merge path of the Borůvka engine.
-  void add_serialized(WordReader& reader);
+  /// Linear combination with a sketch in wire form (see the top of this
+  /// file), read straight off `reader` without materializing the sending
+  /// sketch — the proxy-side merge path of the Borůvka engine. Exactly
+  /// equivalent to deserialize() + add(). Every length is checked against
+  /// `levels` and the words left in `reader` before any cell is touched: on
+  /// a malformed payload it returns false and leaves both this sampler and
+  /// `reader` unchanged.
+  [[nodiscard]] bool add_serialized(WordReader& reader);
 
-  /// Re-zero all cells and rebind to `seed`, retaining cell storage — the
-  /// SketchPool recycling hook (universe/params stay fixed).
+  /// Re-zero the used cells and rebind to `seed`, retaining cell storage —
+  /// the SketchPool recycling hook (universe/params stay fixed).
   void reset(std::uint64_t seed) noexcept;
 
   /// Recover some nonzero index, or nullopt if the vector appears empty /
@@ -82,7 +116,9 @@ class L0Sampler {
   /// new seed without constructing a probe sampler.
   [[nodiscard]] static std::uint64_t fingerprint_base_for(std::uint64_t seed, int copy);
   /// Level-hash seed of copy c.
-  [[nodiscard]] std::uint64_t level_seed(int copy) const;
+  [[nodiscard]] std::uint64_t level_seed(int copy) const {
+    return level_seed_[static_cast<std::size_t>(copy)];
+  }
   /// Level (0..levels-1) that index participates up to, in copy c.
   [[nodiscard]] int level_of(std::uint64_t index, int copy) const;
 
@@ -90,29 +126,49 @@ class L0Sampler {
   [[nodiscard]] const L0Params& params() const noexcept { return params_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Logical wire size of the serialized sketch.
+  /// Logical wire size of the sketch: every cell of every level and copy,
+  /// whatever the compact payload's length (see the top of this file).
   [[nodiscard]] std::uint64_t wire_bits() const;
 
-  /// Serialize all cells (3 words each) into a writer.
+  /// Payload words of the largest possible serialized form (every cell
+  /// used) — what a writer or message slot needs to hold any sketch of
+  /// this shape.
+  [[nodiscard]] std::size_t max_wire_words() const noexcept {
+    return static_cast<std::size_t>(params_.copies) + 3 * cells_.size();
+  }
+
+  /// Append the canonical compact wire form to `out`, reserving
+  /// max_wire_words() so a reused writer reaches its steady capacity on
+  /// first use.
   void serialize(WordWriter& out) const;
 
-  /// Rebuild a sketch from `reader` given matching construction parameters.
+  /// Rebuild a sketch from `reader` given matching construction parameters;
+  /// aborts on a malformed payload.
   static L0Sampler deserialize(std::uint64_t universe, L0Params params, std::uint64_t seed,
                                WordReader& reader);
 
  private:
-  [[nodiscard]] OneSparseCell& cell(int copy, int level) {
-    return cells_[static_cast<std::size_t>(copy) * static_cast<std::size_t>(params_.levels) +
-                  static_cast<std::size_t>(level)];
+  void bind_seed(std::uint64_t seed) noexcept;
+
+  /// Cells of copy c, levels 0..levels-1 contiguous.
+  [[nodiscard]] OneSparseCell* copy_cells(int copy) noexcept {
+    return cells_.data() + static_cast<std::size_t>(copy * params_.levels);
   }
-  [[nodiscard]] const OneSparseCell& cell(int copy, int level) const {
-    return cells_[static_cast<std::size_t>(copy) * static_cast<std::size_t>(params_.levels) +
-                  static_cast<std::size_t>(level)];
+  [[nodiscard]] const OneSparseCell* copy_cells(int copy) const noexcept {
+    return cells_.data() + static_cast<std::size_t>(copy * params_.levels);
+  }
+  [[nodiscard]] int& used(int copy) noexcept { return used_[static_cast<std::size_t>(copy)]; }
+  [[nodiscard]] int used(int copy) const noexcept {
+    return used_[static_cast<std::size_t>(copy)];
   }
 
   std::uint64_t universe_;
   L0Params params_;
   std::uint64_t seed_;
+  // Per copy: the level-hash seed derived from seed_ (cached off the
+  // per-update path) and the used-prefix length h_c.
+  std::array<std::uint64_t, kMaxCopies> level_seed_{};
+  std::array<int, kMaxCopies> used_{};
   std::vector<OneSparseCell> cells_;
 };
 

@@ -37,15 +37,6 @@ std::optional<Recovered> OneSparseCell::recover(std::uint64_t r,
   return Recovered{idx, s0_ == 1 ? 1 : -1};
 }
 
-OneSparseCell OneSparseCell::from_raw(std::int64_t s0, std::uint64_t s1,
-                                      std::uint64_t s2) noexcept {
-  OneSparseCell c;
-  c.s0_ = s0;
-  c.s1_ = fp::reduce(s1);
-  c.s2_ = fp::reduce(s2);
-  return c;
-}
-
 std::uint64_t OneSparseCell::wire_bits(std::uint64_t universe) noexcept {
   // s1, s2: field elements (61 bits each); s0: signed counter bounded by
   // the universe size.

@@ -37,10 +37,12 @@ class OneSparseCell {
   /// Linear combination with a cell in its 3-word wire form (s0, s1, s2) —
   /// the proxy-side merge path, which adds serialized cells straight off a
   /// message payload without materializing the sending sketch. s1/s2 are
-  /// reduced on entry, so any 64-bit wire words are accepted; for words
-  /// produced by serialize() the reduction is a no-op.
+  /// reduced on entry and s0 adds with two's-complement wraparound, so any
+  /// 64-bit wire words are accepted; for words produced by serialize() the
+  /// reduction is a no-op.
   void add_raw(std::int64_t s0, std::uint64_t s1, std::uint64_t s2) noexcept {
-    s0_ += s0;
+    s0_ = static_cast<std::int64_t>(static_cast<std::uint64_t>(s0_) +
+                                    static_cast<std::uint64_t>(s0));
     s1_ = fp::add(s1_, fp::reduce(s1));
     s2_ = fp::add(s2_, fp::reduce(s2));
   }
@@ -58,9 +60,6 @@ class OneSparseCell {
   [[nodiscard]] std::int64_t s0() const noexcept { return s0_; }
   [[nodiscard]] std::uint64_t s1() const noexcept { return s1_; }
   [[nodiscard]] std::uint64_t s2() const noexcept { return s2_; }
-
-  /// Deserialization counterpart of the 3-word wire format.
-  static OneSparseCell from_raw(std::int64_t s0, std::uint64_t s1, std::uint64_t s2) noexcept;
 
   /// Logical bits on the wire: two field elements + a small signed counter.
   [[nodiscard]] static std::uint64_t wire_bits(std::uint64_t universe) noexcept;

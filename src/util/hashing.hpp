@@ -12,7 +12,9 @@
 //  * PrfHash — a SplitMix64-based PRF standing in for the shared hash in the
 //    algorithms themselves. Computationally indistinguishable from a random
 //    function at simulation scales; the *communication* cost of sharing the
-//    seed is still charged via cluster::SharedRandomness (see DESIGN.md §1).
+//    seed is still charged via cluster::SharedRandomness. The substitution
+//    is checked statistically by ProxyMapTest.PrfMatchesDWiseLoadBalance
+//    (tests/test_cluster.cpp).
 
 #include <cstdint>
 #include <vector>

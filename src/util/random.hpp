@@ -7,7 +7,8 @@
 //
 // SplitMix64 doubles as a cheap PRF: split(seed, key) is used wherever the
 // paper assumes a shared hash function evaluated on component labels or edge
-// ids (see DESIGN.md §1 on the d-wise-independence substitution).
+// ids (the paper's d-wise independent families of Section 2.2; see the
+// PrfHash note in util/hashing.hpp for why a PRF stands in for them).
 
 #include <cstdint>
 

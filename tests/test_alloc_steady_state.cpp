@@ -56,7 +56,8 @@ void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
 
   // Home side: sketch each part into a pooled accumulator, serialize into
   // the reused writer, "send" by copying into the wire buffers (stand-in
-  // for the already allocation-free message plane; buffers are pre-sized).
+  // for the already allocation-free message plane; buffers are reserved to
+  // the worst-case compact sketch size, since payload lengths vary).
   for (std::size_t label = 0; label < kLabels; ++label) {
     for (std::size_t p = 0; p < kParts; ++p) {
       home_pool.release_all();
@@ -83,7 +84,10 @@ void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
     if (created) {
       idx = proxy_pool.acquire_index(builder.universe(), builder.params(), builder.seed());
     }
-    proxy_pool.at(idx).add_serialized(r);
+    if (!proxy_pool.at(idx).add_serialized(r)) {
+      std::printf("FAIL: sketch payload rejected by add_serialized\n");
+      ++failures;
+    }
   }
   sums.for_each_sorted([&](Label label, std::uint32_t idx) {
     L0Sampler& sum = proxy_pool.at(idx);
@@ -113,6 +117,8 @@ int main() {
   WordWriter writer;
   std::vector<std::uint64_t> power_scratch;
   std::vector<std::vector<std::uint64_t>> wire(kLabels * kParts);
+  const std::size_t max_message_words = 1 + builder.empty_sketch().max_wire_words();
+  for (auto& slot : wire) slot.reserve(max_message_words);
   LabelRegistry<std::uint32_t> sums;
   sums.reset_universe(kLabels);
   std::uint64_t sink = 0;

@@ -256,8 +256,9 @@ TEST(ProxyMapTest, FixedRoutesEverythingToCoordinator) {
 }
 
 TEST(ProxyMapTest, PrfMatchesDWiseLoadBalance) {
-  // DESIGN.md substitution check: the PRF-backed proxy map should balance
-  // loads statistically like an honest d-wise independent polynomial hash.
+  // PRF-for-d-wise substitution check (util/hashing.hpp): the PRF-backed
+  // proxy map should balance loads statistically like an honest d-wise
+  // independent polynomial hash.
   constexpr std::uint64_t kLabels = 4000;
   constexpr MachineId kMachines = 16;
   Rng rng(77);

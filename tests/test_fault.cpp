@@ -290,6 +290,39 @@ TEST(FaultPlane, CorruptionIsCaughtByTheRawLabelReferee) {
   EXPECT_GT(mismatches, 0u) << "corruption went undetected by the referee";
 }
 
+TEST(FaultPlane, TamperedSketchHeaderIsRetriedNotAborted) {
+  // An edgeless graph: every part sketch is the empty sketch, whose compact
+  // wire form ends in a length header. The corrupt profile's XOR of that
+  // last word makes the payload malformed; the proxy must reject it (no
+  // abort inside the decoder), count a sampler retry and re-sketch. Plane
+  // superstep 2 is the first elimination iteration's sketch-shipping step
+  // (after the two or-reduce steps of the activity check), so only sketch
+  // messages are tampered with.
+  constexpr std::size_t n = 48;
+  constexpr MachineId k = 4;
+  const Graph g(n, {});
+  FaultSchedule sched(5);
+  for (MachineId src = 0; src < k; ++src) {
+    for (MachineId dst = 0; dst < k; ++dst) {
+      if (src != dst) sched.add_link_fault(2, src, dst, 0, LinkFaultKind::kCorrupt);
+    }
+  }
+  FaultPlane plane(sched);
+
+  Cluster cluster(ClusterConfig::for_graph(n, k));
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 7));
+  BoruvkaConfig cfg;
+  cfg.fault = &plane;
+  const BoruvkaResult res = connected_components(cluster, dg, cfg);
+
+  // One part (and label) per message: each tampered sketch is one retry.
+  EXPECT_GT(plane.stats().corruptions, 0u);
+  EXPECT_EQ(res.sampler_retries, plane.stats().corruptions);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.num_components, n);
+  EXPECT_TRUE(res.forest_edges().empty());
+}
+
 // -------------------------------------------- checkpoint/replay (rule 8a)
 
 /// Minimal checkpointable program: a k-machine ring where every machine
