@@ -20,6 +20,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <span>
 
 #include "bench_common.hpp"
@@ -160,19 +161,24 @@ int main() {
       plane.set_durable_store(&store);
       const FaultBenchRun run = drive(&plane);
       report(json, fsync ? "durable-fsync" : "durable", cadence, run, detached.wall_ms);
-      std::printf("  %s cadence=%u: %llu commits, %llu bytes, %llu pruned\n",
+      const double commits = static_cast<double>(std::max<std::uint64_t>(run.durable.commits, 1));
+      const double encode_us = static_cast<double>(run.durable.encode_ns) / 1e3 / commits;
+      const double io_us = static_cast<double>(run.durable.io_ns) / 1e3 / commits;
+      std::printf("  %s cadence=%u: %llu commits, %llu bytes, %llu pruned, "
+                  "per commit: encode %.1f us, io %.1f us\n",
                   fsync ? "durable-fsync" : "durable", cadence,
                   static_cast<unsigned long long>(run.durable.commits),
                   static_cast<unsigned long long>(run.durable.bytes_written),
-                  static_cast<unsigned long long>(run.durable.pruned));
-      char extra[200];
+                  static_cast<unsigned long long>(run.durable.pruned), encode_us, io_us);
+      char extra[280];
       std::snprintf(extra, sizeof(extra),
                     "{\"mode\": \"%s-io\", \"cadence\": %u, \"fsync\": %s, "
-                    "\"durable_commits\": %llu, \"durable_bytes\": %llu, \"pruned\": %llu}",
+                    "\"durable_commits\": %llu, \"durable_bytes\": %llu, \"pruned\": %llu, "
+                    "\"encode_us_per_commit\": %.3f, \"io_us_per_commit\": %.3f}",
                     fsync ? "durable-fsync" : "durable", cadence, fsync ? "true" : "false",
                     static_cast<unsigned long long>(run.durable.commits),
                     static_cast<unsigned long long>(run.durable.bytes_written),
-                    static_cast<unsigned long long>(run.durable.pruned));
+                    static_cast<unsigned long long>(run.durable.pruned), encode_us, io_us);
       json.record_raw(extra);
     }
   }

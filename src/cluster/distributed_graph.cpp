@@ -48,21 +48,23 @@ void DistributedGraph::build_hosted(std::size_t n, ThreadPool* pool) {
   const MachineId k = partition_.machines();
   hosted_offsets_.assign(static_cast<std::size_t>(k) + 1, 0);
   hosted_.resize(n);
+  home_.resize(n);
 
   if (pool == nullptr || pool->size() <= 1 || n < kParallelVertexCutoff) {
-    std::vector<std::size_t> loads;
-    partition_.loads(loads);
+    std::vector<std::size_t> loads(k, 0);
+    for (Vertex v = 0; v < n; ++v) ++loads[home_[v] = partition_.home(v)];
     for (MachineId i = 0; i < k; ++i) hosted_offsets_[i + 1] = hosted_offsets_[i] + loads[i];
     std::vector<std::size_t> cursor(hosted_offsets_.begin(), hosted_offsets_.end() - 1);
-    for (Vertex v = 0; v < n; ++v) hosted_[cursor[partition_.home(v)]++] = v;
+    for (Vertex v = 0; v < n; ++v) hosted_[cursor[home_[v]]++] = v;
     return;
   }
 
-  // Two-pass chunked build: per-chunk machine histograms, an exclusive
-  // prefix over (machine, chunk) that turns each histogram row into that
-  // chunk's write cursors, then a race-free scatter. Chunks cover ascending
-  // vertex ranges and scan them in ascending order, so machine i's slice is
-  // ascending — identical to the serial fill — for every thread count.
+  // Two-pass chunked build: per-chunk machine histograms (filling the home
+  // table on the way), an exclusive prefix over (machine, chunk) that turns
+  // each histogram row into that chunk's write cursors, then a race-free
+  // scatter. Chunks cover ascending vertex ranges and scan them in ascending
+  // order, so machine i's slice is ascending — identical to the serial fill
+  // — for every thread count.
   const std::size_t chunks = parallel_chunks(n, pool->size());
   const auto vchunk = [&](std::size_t c) {
     return std::pair{n * c / chunks, n * (c + 1) / chunks};
@@ -71,7 +73,9 @@ void DistributedGraph::build_hosted(std::size_t n, ThreadPool* pool) {
   pool->parallel_for(chunks, [&](std::size_t c) {
     const auto [lo, hi] = vchunk(c);
     std::size_t* row = hist.data() + c * k;
-    for (std::size_t v = lo; v < hi; ++v) ++row[partition_.home(static_cast<Vertex>(v))];
+    for (std::size_t v = lo; v < hi; ++v) {
+      ++row[home_[v] = partition_.home(static_cast<Vertex>(v))];
+    }
   });
   for (MachineId i = 0; i < k; ++i) {
     std::size_t running = hosted_offsets_[i];
@@ -86,7 +90,7 @@ void DistributedGraph::build_hosted(std::size_t n, ThreadPool* pool) {
     const auto [lo, hi] = vchunk(c);
     std::size_t* cursor = hist.data() + c * k;
     for (std::size_t v = lo; v < hi; ++v) {
-      hosted_[cursor[partition_.home(static_cast<Vertex>(v))]++] = static_cast<Vertex>(v);
+      hosted_[cursor[home_[v]]++] = static_cast<Vertex>(v);
     }
   });
 }

@@ -169,7 +169,12 @@ class DistributedGraph {
     return graph_ != nullptr ? graph_->num_edges() : sharded_.num_half_edges / 2;
   }
   [[nodiscard]] MachineId machines() const noexcept { return partition_.machines(); }
-  [[nodiscard]] MachineId home(Vertex v) const { return partition_.home(v); }
+  /// partition().home(v), served from the per-vertex table build_hosted
+  /// fills once — an inline bounds-checked load instead of a hash per call.
+  [[nodiscard]] MachineId home(Vertex v) const {
+    KMM_CHECK(v < home_.size());
+    return home_[v];
+  }
 
   /// Vertices hosted by machine i (ascending ids; deterministic).
   [[nodiscard]] std::span<const Vertex> vertices_of(MachineId i) const;
@@ -178,8 +183,7 @@ class DistributedGraph {
   /// both backends.
   [[nodiscard]] NeighborView neighbors(Vertex v) const {
     if (graph_ != nullptr) return NeighborView::over(graph_->neighbors(v));
-    KMM_CHECK(v < sharded_.n);
-    const MachineShard& shard = sharded_.shards[partition_.home(v)];
+    const MachineShard& shard = sharded_.shards[home(v)];
     const std::uint64_t start = sharded_.vstart[v];
     const std::uint32_t deg = sharded_.vdeg[v];
     if (shard.weight.empty()) {
@@ -216,6 +220,7 @@ class DistributedGraph {
   // hosted_offsets_[i+1]), ascending vertex ids.
   std::vector<std::size_t> hosted_offsets_;  // machines()+1 entries
   std::vector<Vertex> hosted_;               // flat, grouped by machine
+  std::vector<MachineId> home_;              // n: partition_.home(v), cached
 };
 
 }  // namespace kmm

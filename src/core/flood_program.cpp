@@ -14,13 +14,14 @@ constexpr std::uint32_t kTagCtrl = 2;
 
 /// Same machine-local fixpoint as the lambda engine: push labels of dirty
 /// vertices through the hosted subgraph; only machine-owned cells are
-/// written, so concurrent per-machine handlers stay race-free.
+/// written, so concurrent per-machine handlers stay race-free. The queue is
+/// walked by index in FIFO order and cleared at the end, keeping its
+/// capacity for the next superstep.
 void local_propagate(const DistributedGraph& dg, MachineId machine,
                      std::vector<Label>& labels, std::vector<char>& changed,
-                     std::deque<Vertex>& queue) {
-  while (!queue.empty()) {
-    const Vertex v = queue.front();
-    queue.pop_front();
+                     std::vector<Vertex>& queue) {
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const Vertex v = queue[head];
     for (const auto& he : dg.neighbors(v)) {
       if (dg.home(he.to) != machine) continue;
       if (labels[v] < labels[he.to]) {
@@ -30,6 +31,15 @@ void local_propagate(const DistributedGraph& dg, MachineId machine,
       }
     }
   }
+  queue.clear();
+}
+
+/// A restored flag word must be 0 or 1; a checksummed frame can still
+/// carry anything, so say which field was not.
+char restore_flag(WordReader& in, const char* diagnostic) {
+  const std::uint64_t word = in.u64();
+  KMM_CHECK_MSG(word <= 1, diagnostic);
+  return static_cast<char>(word);
 }
 
 }  // namespace
@@ -133,12 +143,15 @@ void FloodProgram::snapshot(MachineId m, WordWriter& out) {
 }
 
 void FloodProgram::restore(MachineId m, WordReader& in) {
+  // Frames come from disk: validate every word that later indexes memory or
+  // is read as a flag. Labels only ever decrease from v, so label <= v.
   steps_[m] = in.u64();
-  sent_[m] = static_cast<char>(in.u64());
-  done_[m] = static_cast<char>(in.u64());
+  sent_[m] = restore_flag(in, "flood restore: `sent` flag word is not 0/1");
+  done_[m] = restore_flag(in, "flood restore: `done` flag word is not 0/1");
   for (const Vertex v : dg_->vertices_of(m)) {
     labels_[v] = in.u64();
-    changed_[v] = static_cast<char>(in.u64());
+    KMM_CHECK_MSG(labels_[v] <= v, "flood restore: `label` word exceeds its vertex id");
+    changed_[v] = restore_flag(in, "flood restore: `changed` flag word is not 0/1");
   }
   queue_[m].clear();
   boundary_[m].clear();

@@ -25,7 +25,6 @@
 // just flattened into the data supersteps.
 
 #include <cstdint>
-#include <deque>
 #include <utility>
 #include <vector>
 
@@ -72,7 +71,7 @@ class FloodProgram final : public MachineProgram {
   std::vector<char> sent_;              // [m] flag broadcast last superstep
   std::vector<char> done_;              // [m] fixpoint observed
   std::vector<std::uint64_t> steps_;    // [m] supersteps executed (lockstep)
-  std::vector<std::deque<Vertex>> queue_;                       // scratch
+  std::vector<std::vector<Vertex>> queue_;                      // scratch
   std::vector<std::vector<std::pair<Vertex, Label>>> boundary_; // scratch
 };
 

@@ -1,5 +1,6 @@
 #include "durable/durable_format.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "util/crc64.hpp"
@@ -15,6 +16,75 @@ constexpr std::size_t kHeaderWords = 6;
 // checksummed-but-insane length field into kMalformed instead of a bad_alloc.
 constexpr std::uint64_t kMaxK = 1u << 20;
 constexpr std::uint64_t kMaxSectionWords = std::uint64_t{1} << 40;
+
+// 256 KiB: long enough for crc64's interleaved lanes, short enough to be
+// checksummed from L2 right after it was written.
+constexpr std::size_t kCrcRunWords = std::size_t{1} << 15;
+
+// Per inbox message: src, dst, tag, bits, payload word count.
+constexpr std::size_t kMessageFieldWords = 5;
+
+std::size_t ledger_words(const ClusterStats& stats) {
+  return 9 + Accumulator::kSerializedWords + 2 + stats.sent_bits_by_machine.size() +
+         stats.received_bits_by_machine.size();
+}
+
+/// Write cursor over an exactly-sized frame buffer that also chains the
+/// CRC-64 over what it wrote in runs of about kCrcRunWords, each while it
+/// is still in cache.
+class WordCursor {
+ public:
+  explicit WordCursor(std::span<std::uint64_t> out) noexcept
+      : pos_(out.data()), sealed_(out.data()), end_(out.data() + out.size()) {}
+
+  void u64(std::uint64_t v) noexcept {
+    KMM_DCHECK(pos_ < end_);
+    *pos_++ = v;
+  }
+  void words(std::span<const std::uint64_t> w) noexcept {
+    KMM_DCHECK(w.size() <= static_cast<std::size_t>(end_ - pos_));
+    pos_ = std::copy(w.begin(), w.end(), pos_);
+  }
+
+  /// Called at section boundaries: once a run is long enough, fold it
+  /// into the running CRC.
+  void end_section() noexcept {
+    if (static_cast<std::size_t>(pos_ - sealed_) >= kCrcRunWords) seal();
+  }
+  [[nodiscard]] std::uint64_t crc() noexcept {
+    seal();
+    return crc_;
+  }
+  [[nodiscard]] bool done() const noexcept { return pos_ == end_; }
+
+ private:
+  void seal() noexcept {
+    crc_ = crc64_words({sealed_, pos_}, crc_);
+    sealed_ = pos_;
+  }
+
+  std::uint64_t* pos_;
+  std::uint64_t* sealed_;
+  std::uint64_t* end_;
+  std::uint64_t crc_ = 0;
+};
+
+void put_ledger(const ClusterStats& stats, WordCursor& w) {
+  w.u64(stats.rounds);
+  w.u64(stats.supersteps);
+  w.u64(stats.messages);
+  w.u64(stats.local_messages);
+  w.u64(stats.total_bits);
+  w.u64(stats.max_link_bits);
+  w.u64(stats.cut_bits);
+  w.u64(stats.last_superstep_link_bits);
+  w.u64(Accumulator::kSerializedWords);
+  w.words(stats.superstep_link_max.serialize());
+  for (const auto* vec : {&stats.sent_bits_by_machine, &stats.received_bits_by_machine}) {
+    w.u64(vec->size());
+    w.words(*vec);
+  }
+}
 
 DurableError make_error(DurableErrorCode code, std::string message) {
   return DurableError{code, std::move(message), std::string{}};
@@ -140,52 +210,72 @@ void DurableFrame::clear(MachineId new_k) {
   ledger = ClusterStats{};
   inbox.resize(new_k);
   for (auto& msgs : inbox) msgs.clear();
+  payloads.reset();
+}
+
+FrameView::FrameView(const DurableFrame& frame)
+    : state_version(frame.state_version),
+      fingerprint(frame.fingerprint),
+      ordinal(frame.ordinal),
+      k(frame.k),
+      ledger(&frame.ledger),
+      machine_words([&frame](MachineId m) {
+        return std::span<const std::uint64_t>(frame.machine_words[m]);
+      }),
+      inbox([&frame](MachineId m) { return std::span<const Message>(frame.inbox[m]); }) {
+  KMM_CHECK_MSG(frame.machine_words.size() == frame.k && frame.inbox.size() == frame.k,
+                "frame sections must cover every machine");
+}
+
+std::size_t encoded_frame_words(const FrameView& view) {
+  std::size_t words = kHeaderWords + ledger_words(*view.ledger) + 1;  // + CRC
+  for (MachineId m = 0; m < view.k; ++m) {
+    words += 2 + view.machine_words(m).size();  // + state and inbox length words
+    for (const Message& msg : view.inbox(m)) words += kMessageFieldWords + msg.payload_words();
+  }
+  return words;
+}
+
+void encode_frame(const FrameView& view, std::span<std::uint64_t> out) {
+  WordCursor w(out);
+  w.u64(kFrameMagic);
+  w.u64(kFrameFormatVersion);
+  w.u64(view.state_version);
+  w.u64(view.fingerprint);
+  w.u64(view.ordinal);
+  w.u64(view.k);
+  put_ledger(*view.ledger, w);
+  w.end_section();
+  for (MachineId m = 0; m < view.k; ++m) {
+    const auto words = view.machine_words(m);
+    w.u64(words.size());
+    w.words(words);
+    w.end_section();
+  }
+  for (MachineId m = 0; m < view.k; ++m) {
+    const auto msgs = view.inbox(m);
+    w.u64(msgs.size());
+    for (const Message& msg : msgs) {
+      w.u64(msg.src);
+      w.u64(msg.dst);
+      w.u64(msg.tag);
+      w.u64(msg.bits);
+      w.u64(msg.payload_words());
+      w.words(msg.payload());
+    }
+    w.end_section();
+  }
+  w.u64(w.crc());
+  KMM_CHECK_MSG(w.done(), "frame buffer must be sized by encoded_frame_words");
+}
+
+void encode_frame(const FrameView& view, WordWriter& out) {
+  encode_frame(view, out.extend(encoded_frame_words(view)));
 }
 
 void encode_ledger(const ClusterStats& stats, WordWriter& out) {
-  out.u64(stats.rounds);
-  out.u64(stats.supersteps);
-  out.u64(stats.messages);
-  out.u64(stats.local_messages);
-  out.u64(stats.total_bits);
-  out.u64(stats.max_link_bits);
-  out.u64(stats.cut_bits);
-  out.u64(stats.last_superstep_link_bits);
-  out.u64(Accumulator::kSerializedWords);
-  stats.superstep_link_max.serialize(out);
-  for (const auto* vec : {&stats.sent_bits_by_machine, &stats.received_bits_by_machine}) {
-    out.u64(vec->size());
-    for (const std::uint64_t v : *vec) out.u64(v);
-  }
-}
-
-void encode_frame(const DurableFrame& frame, WordWriter& out) {
-  KMM_CHECK_MSG(frame.machine_words.size() == frame.k && frame.inbox.size() == frame.k,
-                "frame sections must cover every machine");
-  const std::size_t begin = out.size();
-  out.u64(kFrameMagic);
-  out.u64(kFrameFormatVersion);
-  out.u64(frame.state_version);
-  out.u64(frame.fingerprint);
-  out.u64(frame.ordinal);
-  out.u64(frame.k);
-  encode_ledger(frame.ledger, out);
-  for (const auto& words : frame.machine_words) {
-    out.u64(words.size());
-    for (const std::uint64_t w : words) out.u64(w);
-  }
-  for (const auto& msgs : frame.inbox) {
-    out.u64(msgs.size());
-    for (const DurableFrame::FrameMessage& msg : msgs) {
-      out.u64(msg.src);
-      out.u64(msg.dst);
-      out.u64(msg.tag);
-      out.u64(msg.bits);
-      out.u64(msg.payload.size());
-      for (const std::uint64_t w : msg.payload) out.u64(w);
-    }
-  }
-  out.u64(crc64_words(out.words().subspan(begin)));
+  WordCursor w(out.extend(ledger_words(stats)));
+  put_ledger(stats, w);
 }
 
 Expected<DurableFrame, DurableError> decode_frame(std::span<const std::uint64_t> words) {
@@ -240,20 +330,18 @@ Expected<DurableFrame, DurableError> decode_frame(std::span<const std::uint64_t>
     KMM_CHECK(r.u64(msgs));
     frame.inbox[m].reserve(static_cast<std::size_t>(msgs));
     for (std::uint64_t i = 0; i < msgs; ++i) {
-      DurableFrame::FrameMessage msg;
-      std::uint64_t src = 0, dst = 0, tag = 0, payload = 0;
-      KMM_CHECK(r.u64(src) && r.u64(dst) && r.u64(tag) && r.u64(msg.bits) && r.u64(payload));
+      std::uint64_t src = 0, dst = 0, tag = 0, bits = 0, payload = 0;
+      KMM_CHECK(r.u64(src) && r.u64(dst) && r.u64(tag) && r.u64(bits) && r.u64(payload));
       if (src >= k || dst >= k || dst != m ||
           tag > std::numeric_limits<std::uint32_t>::max()) {
         return FrameResult::err(make_error(DurableErrorCode::kMalformed,
                                            "inbox message with impossible routing fields"));
       }
-      msg.src = static_cast<MachineId>(src);
-      msg.dst = static_cast<MachineId>(dst);
-      msg.tag = static_cast<std::uint32_t>(tag);
       KMM_CHECK(r.span(static_cast<std::size_t>(payload), section));
-      msg.payload.assign(section.begin(), section.end());
-      frame.inbox[m].push_back(std::move(msg));
+      frame.inbox[m].push_back(Message::make(static_cast<MachineId>(src),
+                                             static_cast<MachineId>(dst),
+                                             static_cast<std::uint32_t>(tag), section, bits,
+                                             frame.payloads));
     }
   }
   return FrameResult(std::move(frame));

@@ -33,11 +33,14 @@
 // process expects) is the RecoveryManager's layer, not the codec's.
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/cluster.hpp"
+#include "cluster/message.hpp"
+#include "cluster/payload_arena.hpp"
 #include "util/codec.hpp"
 #include "util/expected.hpp"
 
@@ -80,18 +83,30 @@ struct DurableFrame {
 
   ClusterStats ledger;  // as of the end of superstep ordinal-1
 
-  /// One delivered message of the inbox-replay window. Payload is copied
-  /// out of the arena at capture time, so the frame owns its bytes.
-  struct FrameMessage {
-    MachineId src = 0;
-    MachineId dst = 0;
-    std::uint32_t tag = 0;
-    std::uint64_t bits = 0;
-    std::vector<std::uint64_t> payload;
-  };
-  std::vector<std::vector<FrameMessage>> inbox;  // [k] in delivered order
+  /// The inbox-replay window, [k] in delivered order. Spilled payloads
+  /// live in `payloads`, so the frame owns its bytes.
+  std::vector<std::vector<Message>> inbox;
+  PayloadArena payloads;
 
   void clear(MachineId new_k);
+};
+
+/// Borrowed view of everything one frame holds: the input of the frame
+/// encoder. The FaultPlane points it straight at its checkpoint store, the
+/// cluster ledger and the delivered inboxes, so a commit copies nothing
+/// before encoding; a DurableFrame converts to one implicitly (like a
+/// string to a string_view, the frame must outlive the view).
+struct FrameView {
+  std::uint64_t state_version = 1;
+  std::uint64_t fingerprint = 0;
+  std::uint64_t ordinal = 0;
+  MachineId k = 0;
+  const ClusterStats* ledger = nullptr;
+  std::function<std::span<const std::uint64_t>(MachineId)> machine_words;
+  std::function<std::span<const Message>(MachineId)> inbox;
+
+  FrameView() = default;
+  FrameView(const DurableFrame& frame);  // NOLINT(google-explicit-constructor)
 };
 
 /// Word offsets of each region inside an encoded frame — the corruption
@@ -107,12 +122,21 @@ struct FrameSections {
   std::size_t crc_word = 0;  // == total_words - 1
 };
 
-/// Append the complete frame (header, ledger, state, inbox, CRC) to `out`.
-void encode_frame(const DurableFrame& frame, WordWriter& out);
+/// Exact size in words of the frame `view` encodes to (header to CRC).
+[[nodiscard]] std::size_t encoded_frame_words(const FrameView& view);
 
-/// Just the ledger section (no header/CRC) — shared by encode_frame and by
-/// tests that compare two ledgers bit-for-bit including the accumulator's
-/// internal floating-point state.
+/// The frame encoder (every other encode path calls this one): writes the
+/// complete frame (header, ledger, state, inbox, CRC) in one pass into
+/// `out`, which must hold exactly encoded_frame_words(view) words. The CRC
+/// is chained over runs of the output while each is still in cache.
+void encode_frame(const FrameView& view, std::span<std::uint64_t> out);
+
+/// Append the complete frame to `out`.
+void encode_frame(const FrameView& view, WordWriter& out);
+
+/// Just the ledger section (no header/CRC) — the same words encode_frame
+/// writes, for tests that compare two ledgers bit-for-bit including the
+/// accumulator's internal floating-point state.
 void encode_ledger(const ClusterStats& stats, WordWriter& out);
 
 /// Decode and validate one frame. See the header comment for the

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 
@@ -13,6 +14,13 @@
 
 namespace kmm {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count());
+}
 
 constexpr char kGenPrefix[] = "gen-";
 constexpr char kGenSuffix[] = ".kmmframe";
@@ -76,24 +84,29 @@ DurableStore::DurableStore(DurableStoreConfig config) : config_(std::move(config
   }
 }
 
-Expected<std::uint64_t, DurableError> DurableStore::commit(DurableFrame& frame) {
+Expected<std::uint64_t, DurableError> DurableStore::commit(FrameView view) {
   using Result = Expected<std::uint64_t, DurableError>;
-  frame.fingerprint = config_.fingerprint;
-  scratch_.clear();
-  encode_frame(frame, scratch_);
-  const std::size_t bytes = scratch_.size() * sizeof(std::uint64_t);
-  const std::string path = generation_path(config_.dir, frame.ordinal);
+  const auto t0 = Clock::now();
+  view.fingerprint = config_.fingerprint;
+  const std::size_t words = encoded_frame_words(view);
+  if (buffer_.size() < words) buffer_.resize(words);
+  encode_frame(view, std::span<std::uint64_t>(buffer_).first(words));
+  const auto t1 = Clock::now();
+  const std::size_t bytes = words * sizeof(std::uint64_t);
+  const std::string path = generation_path(config_.dir, view.ordinal);
   std::string error;
-  if (!atomic_write_file(path, scratch_.words().data(), bytes, config_.fsync, &error)) {
+  if (!atomic_write_file(path, buffer_.data(), bytes, config_.fsync, &error)) {
     return Result::err({DurableErrorCode::kIo, std::move(error), path});
   }
-  if (!std::binary_search(on_disk_.begin(), on_disk_.end(), frame.ordinal)) {
-    on_disk_.insert(std::upper_bound(on_disk_.begin(), on_disk_.end(), frame.ordinal),
-                    frame.ordinal);
+  if (!std::binary_search(on_disk_.begin(), on_disk_.end(), view.ordinal)) {
+    on_disk_.insert(std::upper_bound(on_disk_.begin(), on_disk_.end(), view.ordinal),
+                    view.ordinal);
   }
   ++stats_.commits;
   stats_.bytes_written += bytes;
   prune();
+  stats_.encode_ns += elapsed_ns(t0, t1);
+  stats_.io_ns += elapsed_ns(t1, Clock::now());
   return Result(static_cast<std::uint64_t>(bytes));
 }
 

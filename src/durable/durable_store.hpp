@@ -32,16 +32,20 @@ class DurableStore {
 
   [[nodiscard]] const DurableStoreConfig& config() const noexcept { return config_; }
 
-  /// Serialize and atomically commit one generation. The frame's
-  /// fingerprint is overridden with the store's. Returns the committed
-  /// file's size in bytes. Re-committing an ordinal overwrites its file
-  /// atomically (an identical frame, on the resume path).
-  [[nodiscard]] Expected<std::uint64_t, DurableError> commit(DurableFrame& frame);
+  /// Serialize and atomically commit one generation. The view's
+  /// fingerprint is overridden with the store's. The frame is encoded
+  /// straight from the view into a buffer sized exactly up front, whose
+  /// capacity is retained across commits. Returns the committed file's size
+  /// in bytes. Re-committing an ordinal overwrites its file atomically (an
+  /// identical frame, on the resume path).
+  [[nodiscard]] Expected<std::uint64_t, DurableError> commit(FrameView view);
 
   struct Stats {
     std::uint64_t commits = 0;
     std::uint64_t bytes_written = 0;
     std::uint64_t pruned = 0;
+    std::uint64_t encode_ns = 0;  // wall time encoding frames (sizing, words, CRC)
+    std::uint64_t io_ns = 0;      // wall time in the atomic write and pruning
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
@@ -59,7 +63,7 @@ class DurableStore {
   void prune();
 
   DurableStoreConfig config_;
-  WordWriter scratch_;                    // frame encoding buffer, capacity retained
+  std::vector<std::uint64_t> buffer_;     // frame encoding buffer; only ever grows
   std::vector<std::uint64_t> on_disk_;    // committed ordinals, ascending
   Stats stats_;
 };

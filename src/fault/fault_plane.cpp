@@ -188,26 +188,16 @@ void FaultPlane::durable_commit(Cluster& cluster, MachineProgram& program) {
   // The in-RAM generation (store_) was just taken at this ordinal; the frame
   // marries it to the ledger-so-far and the inbox this superstep's handlers
   // are about to read — everything a restarted process needs to re-enter the
-  // computation at exactly this instant.
-  frame_scratch_.clear(k_);
-  frame_scratch_.state_version = program.state_version();
-  frame_scratch_.ordinal = ordinal_;
-  frame_scratch_.ledger = cluster.stats();
-  for (MachineId m = 0; m < k_; ++m) {
-    const auto words = store_.words(m);
-    frame_scratch_.machine_words[m].assign(words.begin(), words.end());
-    for (const Message& msg : cluster.inbox(m)) {
-      DurableFrame::FrameMessage fm;
-      fm.src = msg.src;
-      fm.dst = msg.dst;
-      fm.tag = msg.tag;
-      fm.bits = msg.bits;
-      const auto payload = msg.payload();
-      fm.payload.assign(payload.begin(), payload.end());
-      frame_scratch_.inbox[m].push_back(std::move(fm));
-    }
-  }
-  auto committed = durable_->commit(frame_scratch_);
+  // computation at exactly this instant. The view borrows all three, so the
+  // store encodes straight from them without an intermediate copy.
+  FrameView view;
+  view.state_version = program.state_version();
+  view.ordinal = ordinal_;
+  view.k = k_;
+  view.ledger = &cluster.stats();
+  view.machine_words = [this](MachineId m) { return store_.words(m); };
+  view.inbox = [&cluster](MachineId m) { return cluster.inbox(m); };
+  auto committed = durable_->commit(std::move(view));
   if (!committed.ok()) {
     // A durability plane that silently stops persisting is worse than one
     // that stops the run: fail loudly with the structured diagnostic.
@@ -235,13 +225,9 @@ void FaultPlane::apply_resume(Cluster& cluster, MachineProgram& program) {
   // before the frame was taken) and restore the ledger itself, then rewind
   // the plane to the frame's ordinal. From here deterministic re-execution
   // reproduces the uninterrupted run bit-for-bit.
-  scratch_arena_.reset();
   for (MachineId m = 0; m < k_; ++m) {
     cluster.clear_inbox(m);
-    for (const DurableFrame::FrameMessage& fm : frame.inbox[m]) {
-      cluster.inject_inbox(
-          m, Message::make(fm.src, fm.dst, fm.tag, fm.payload, fm.bits, scratch_arena_));
-    }
+    for (const Message& msg : frame.inbox[m]) cluster.inject_inbox(m, msg);
   }
   cluster.restore_stats(frame.ledger);
   ordinal_ = frame.ordinal;

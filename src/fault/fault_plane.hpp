@@ -250,7 +250,6 @@ class FaultPlane {
   CheckpointStore hook_store_;  // hook-mode crash-instant snapshots
   DurableStore* durable_ = nullptr;            // borrowed on-disk tee; nullable
   const DurableFrame* pending_resume_ = nullptr;  // applied at the next begin_step
-  DurableFrame frame_scratch_;                 // commit staging, capacity retained
   std::vector<RingSlot> ring_;  // C slots of logged inboxes for replay
   OutboxShard replay_shard_;    // sink for replayed sends (discarded)
 

@@ -26,6 +26,13 @@ class WordWriter {
   /// word count up front, e.g. a sketch's cells).
   void reserve(std::size_t total_words) { words_.reserve(total_words); }
 
+  /// Append `count` words for the caller to fill in place (encoders that
+  /// know their exact size up front); returns the writable tail.
+  [[nodiscard]] std::span<std::uint64_t> extend(std::size_t count) {
+    words_.resize(words_.size() + count);
+    return std::span<std::uint64_t>(words_).last(count);
+  }
+
   /// View of the serialized words — the form senders pass to Outbox::send,
   /// which copies, so the writer may be clear()ed and reused right after.
   [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }

@@ -6,7 +6,6 @@
 #include <cstdio>
 
 #include "util/assert.hpp"
-#include "util/codec.hpp"
 
 namespace kmm {
 
@@ -30,13 +29,14 @@ double Accumulator::variance() const noexcept {
 
 double Accumulator::stddev() const noexcept { return std::sqrt(variance()); }
 
-void Accumulator::serialize(WordWriter& out) const {
-  out.u64(n_);
-  out.u64(std::bit_cast<std::uint64_t>(mean_));
-  out.u64(std::bit_cast<std::uint64_t>(m2_));
-  out.u64(std::bit_cast<std::uint64_t>(min_));
-  out.u64(std::bit_cast<std::uint64_t>(max_));
-  out.u64(std::bit_cast<std::uint64_t>(sum_));
+std::array<std::uint64_t, Accumulator::kSerializedWords> Accumulator::serialize()
+    const noexcept {
+  return {n_,
+          std::bit_cast<std::uint64_t>(mean_),
+          std::bit_cast<std::uint64_t>(m2_),
+          std::bit_cast<std::uint64_t>(min_),
+          std::bit_cast<std::uint64_t>(max_),
+          std::bit_cast<std::uint64_t>(sum_)};
 }
 
 void Accumulator::restore(std::span<const std::uint64_t> words) noexcept {

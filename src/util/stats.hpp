@@ -3,14 +3,13 @@
 // assert distributional properties (load balance, DRR depth, sketch
 // uniformity).
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
 namespace kmm {
-
-class WordWriter;
 
 /// Streaming summary: count / mean / min / max / variance (Welford).
 class Accumulator {
@@ -30,7 +29,7 @@ class Accumulator {
   /// exactly, so an accumulator restored from a frame continues the SAME
   /// floating-point trajectory as the uninterrupted run.
   static constexpr std::size_t kSerializedWords = 6;
-  void serialize(WordWriter& out) const;
+  [[nodiscard]] std::array<std::uint64_t, kSerializedWords> serialize() const noexcept;
   void restore(std::span<const std::uint64_t> words) noexcept;  // exactly kSerializedWords
 
  private:

@@ -13,8 +13,16 @@
 // structures are warm. This is the compute-plane analogue of the message
 // plane's 0 allocs/superstep (PR 3); bench_boruvka_hotpath reports the same
 // quantity with throughput numbers against the checked-in baseline.
+//
+// It also pins the durable commit: a warm FaultPlane + DurableStore commit
+// performs the same small, constant number of allocations (path strings)
+// whatever the size of the inbox window it encodes.
+
+#include <stdlib.h>  // mkdtemp
 
 #include <cstdio>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "alloc_counter.hpp"
@@ -94,6 +102,61 @@ void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
     if (sum.is_zero()) return;
     if (const auto rec = sum.sample()) *sink += rec->index + label;
   });
+}
+
+/// Allocations per durable commit, warm, for a flood on a rows x rows grid
+/// (fsync off). The flood runs a few supersteps first so the cluster holds
+/// a real inbox window; then begin_step/end_step are driven directly at
+/// cadence 1, so each iteration is one snapshot + one commit of that same
+/// window (with pruning once three generations exist).
+std::uint64_t durable_commit_allocs(std::size_t rows, std::size_t* inbox_messages) {
+  constexpr MachineId kMachines = 8;
+  constexpr int kWarmCommits = 6;
+  constexpr int kMeasuredCommits = 16;
+  const std::size_t n = rows * rows;
+  const Graph g = gen::grid(rows, rows);
+  const DistributedGraph dg(g, VertexPartition::random(n, kMachines, 21));
+  Cluster cluster(ClusterConfig::for_graph(n, kMachines));
+  FloodProgram program(dg, kMachines);
+  {
+    Runtime rt(cluster);
+    for (int s = 0; s < 3; ++s) (void)rt.step(program);
+  }
+  *inbox_messages = 0;
+  for (MachineId m = 0; m < kMachines; ++m) *inbox_messages += cluster.inbox(m).size();
+
+  std::string tmpl = (std::filesystem::temp_directory_path() / "kmm_alloc_XXXXXX").string();
+  const char* dir = ::mkdtemp(tmpl.data());
+  if (dir == nullptr) {
+    std::printf("FAIL: mkdtemp\n");
+    ++failures;
+    return 0;
+  }
+  std::uint64_t allocs = 0;
+  {
+    DurableStore store({dir, /*fsync=*/false, /*keep_generations=*/3, 0});
+    const FaultSchedule quiet(1);
+    FaultPlaneConfig pcfg;
+    pcfg.checkpoint_every = 1;
+    FaultPlane plane(quiet, pcfg);
+    plane.set_durable_store(&store);
+    for (int i = 0; i < kWarmCommits; ++i) {
+      (void)plane.begin_step(cluster, program);
+      plane.end_step();
+    }
+    const auto a0 = alloc_count();
+    for (int i = 0; i < kMeasuredCommits; ++i) {
+      (void)plane.begin_step(cluster, program);
+      plane.end_step();
+    }
+    allocs = alloc_count() - a0;
+    if (plane.stats().durable_commits != kWarmCommits + kMeasuredCommits) {
+      std::printf("FAIL: expected one durable commit per driven step\n");
+      ++failures;
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return allocs / kMeasuredCommits;
 }
 
 }  // namespace
@@ -224,6 +287,26 @@ int main() {
     obs::set_alloc_count_source(nullptr);
     std::printf("obs plane: steady-state supersteps allocation-free with sinks "
                 "off and on\n");
+  }
+
+  // Durable commit: the frame is encoded straight from the checkpoint
+  // store, ledger and inboxes into a retained buffer, so allocations per
+  // commit must not grow with the inbox window.
+  {
+    std::size_t small_inbox = 0, large_inbox = 0;
+    const std::uint64_t small = durable_commit_allocs(24, &small_inbox);
+    const std::uint64_t large = durable_commit_allocs(72, &large_inbox);
+    std::printf("durable commit: %llu allocations/commit at %zu inbox messages, %llu at %zu\n",
+                static_cast<unsigned long long>(small), small_inbox,
+                static_cast<unsigned long long>(large), large_inbox);
+    if (large_inbox < 4 * small_inbox) {
+      std::printf("FAIL: the larger grid should hold a much larger inbox window\n");
+      ++failures;
+    }
+    if (small != large || large > 16) {
+      std::printf("FAIL: allocations per durable commit must be one small constant\n");
+      ++failures;
+    }
   }
 
   if (failures == 0) std::printf("PASS\n");

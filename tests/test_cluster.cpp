@@ -8,9 +8,11 @@
 #include "cluster/conversion.hpp"
 #include "cluster/distributed_graph.hpp"
 #include "cluster/proxy.hpp"
+#include "cluster/stream_ingest.hpp"
 #include "graph/generators.hpp"
 #include "util/hashing.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace kmm {
 namespace {
@@ -236,6 +238,43 @@ TEST(DistributedGraphTest, HostsMatchPartition) {
   }
   EXPECT_EQ(total, 200u);
   EXPECT_GE(dg.max_machine_load(), 200u / 8);
+}
+
+TEST(DistributedGraph, HomeCacheMatchesPartition) {
+  // home(v) is served from a table the hosted-list build fills once —
+  // serially, or chunked over a pool from n = 2^15 — and must agree with
+  // the partition's own home() for every vertex, on both backends.
+  const auto expect_cache_matches = [](const DistributedGraph& dg, const char* what) {
+    for (Vertex v = 0; v < dg.num_vertices(); ++v) {
+      ASSERT_EQ(dg.home(v), dg.partition().home(v)) << what << " v=" << v;
+    }
+  };
+  constexpr MachineId k = 8;
+  ThreadPool pool(4);
+  for (const std::size_t n : {std::size_t{600}, std::size_t{1} << 15}) {
+    const std::size_t m = 2 * n;
+    gen::ParGenConfig cfg;
+    cfg.seed = 3;
+    const Graph g = gen::gnm_par(n, m, cfg);
+    std::vector<MachineId> table(n);
+    for (Vertex v = 0; v < n; ++v) table[v] = static_cast<MachineId>((v * 7 + v / 3) % k);
+    const std::pair<const char*, VertexPartition> partitions[] = {
+        {"random", VertexPartition::random(n, k, 11)},
+        {"round_robin", VertexPartition::round_robin(n, k)},
+        {"skewed", VertexPartition::skewed(n, k, 0.4)},
+        {"from_table", VertexPartition::from_table(table, k)},
+    };
+    for (const auto& [name, part] : partitions) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        expect_cache_matches(DistributedGraph(g, part, p), name);
+        StreamIngestOptions opts;
+        opts.pool = p;
+        const auto sharded = stream_ingest(n, part, gen::gnm_stream_source(n, m, cfg), opts);
+        ASSERT_TRUE(sharded.ok()) << sharded.error().message;
+        expect_cache_matches(sharded.value(), name);
+      }
+    }
+  }
 }
 
 TEST(ProxyMapTest, DeterministicAndSpread) {

@@ -83,6 +83,61 @@ TEST(Crc64, KnownAnswerAndSensitivity) {
   EXPECT_NE(crc64_words({flipped, 3}), base);
 }
 
+/// The textbook bit-at-a-time CRC-64/XZ, independent of the table code.
+std::uint64_t crc64_bitwise(const unsigned char* bytes, std::size_t len, std::uint64_t seed) {
+  std::uint64_t crc = ~seed;
+  for (std::size_t i = 0; i < len; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (crc >> 1) ^ 0xC96C5795D7870F42ULL : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc64, SliceMatchesBytewiseReference) {
+  std::vector<unsigned char> buf(3 * 12288 + 200);
+  std::uint64_t x = 0x1234;
+  for (unsigned char& b : buf) {
+    x = split(x, 1);
+    b = static_cast<unsigned char>(x >> 56);
+  }
+  // Every length 0..72 at every start offset 0..7: word loop, byte tail and
+  // unaligned loads.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 72; ++len) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(crc64(p, len), crc64_bitwise(p, len, 0)) << "len=" << len << " off=" << offset;
+      ASSERT_EQ(crc64(p, len, 0xABCDEF), crc64_bitwise(p, len, 0xABCDEF))
+          << "seeded len=" << len << " off=" << offset;
+    }
+  }
+  // Lengths around the interleaved-lane block (3 x 4 KiB) and its multiples.
+  for (const std::size_t len : {12287u, 12288u, 12289u, 12295u, 24576u, 24600u, 36864u + 7}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const unsigned char* p = buf.data() + offset;
+      ASSERT_EQ(crc64(p, len, 77), crc64_bitwise(p, len, 77)) << "len=" << len;
+    }
+  }
+  // Chaining contract: crc64(ab) == crc64(b, crc64(a)) at every split point.
+  constexpr std::size_t kChainLen = 72;
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const unsigned char* p = buf.data() + offset;
+    const std::uint64_t whole = crc64(p, kChainLen);
+    for (std::size_t split_at = 0; split_at <= kChainLen; ++split_at) {
+      ASSERT_EQ(crc64(p + split_at, kChainLen - split_at, crc64(p, split_at)), whole)
+          << "split=" << split_at << " off=" << offset;
+    }
+  }
+  const std::size_t long_len = buf.size() - 8;
+  const std::uint64_t whole = crc64(buf.data(), long_len);
+  for (std::size_t split_at = 0; split_at <= long_len; split_at += 997) {
+    ASSERT_EQ(crc64(buf.data() + split_at, long_len - split_at, crc64(buf.data(), split_at)),
+              whole)
+        << "split=" << split_at;
+  }
+}
+
 // ------------------------------------------------------- frame round-trip
 
 TEST(DurablePlane, FrameRoundTripsBitForBit) {
@@ -106,8 +161,12 @@ TEST(DurablePlane, FrameRoundTripsBitForBit) {
   frame.ledger.superstep_link_max.add(8.25);
   frame.ledger.sent_bits_by_machine = {100, 200, 300};
   frame.ledger.received_bits_by_machine = {300, 200, 100};
-  frame.inbox[1].push_back({0, 1, 9, 128, {5, 6}});
-  frame.inbox[2].push_back({1, 2, 2, 1, {0}});
+  frame.inbox[1].push_back(Message::make(0, 1, 9, std::vector<std::uint64_t>{5, 6}, 128,
+                                         frame.payloads));
+  frame.inbox[1].push_back(Message::make(2, 1, 4, std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6},
+                                         0, frame.payloads));  // spilled to the arena
+  frame.inbox[2].push_back(Message::make(1, 2, 2, std::vector<std::uint64_t>{0}, 1,
+                                         frame.payloads));
 
   WordWriter w;
   encode_frame(frame, w);
@@ -129,11 +188,16 @@ TEST(DurablePlane, FrameRoundTripsBitForBit) {
   EXPECT_EQ(d.k, frame.k);
   EXPECT_EQ(d.machine_words, frame.machine_words);
   EXPECT_EQ(ledger_words(d.ledger), ledger_words(frame.ledger));
-  ASSERT_EQ(d.inbox[1].size(), 1u);
+  ASSERT_EQ(d.inbox[1].size(), 2u);
   EXPECT_EQ(d.inbox[1][0].src, 0u);
   EXPECT_EQ(d.inbox[1][0].tag, 9u);
   EXPECT_EQ(d.inbox[1][0].bits, 128u);
-  EXPECT_EQ(d.inbox[1][0].payload, (std::vector<std::uint64_t>{5, 6}));
+  EXPECT_EQ(std::vector<std::uint64_t>(d.inbox[1][0].payload().begin(),
+                                       d.inbox[1][0].payload().end()),
+            (std::vector<std::uint64_t>{5, 6}));
+  EXPECT_EQ(std::vector<std::uint64_t>(d.inbox[1][1].payload().begin(),
+                                       d.inbox[1][1].payload().end()),
+            (std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}));
   ASSERT_EQ(d.inbox[2].size(), 1u);
   EXPECT_EQ(d.inbox[0].size(), 0u);
 }
@@ -307,6 +371,111 @@ TEST(DurablePlane, FloodConnectivityResumesBitIdentically) {
     EXPECT_EQ(res.num_components, clean.num_components);
     EXPECT_EQ(res.supersteps, clean.supersteps);  // counted across lifetimes
     EXPECT_EQ(ledger_words(cluster.stats()), clean_ledger) << "threads=" << threads;
+  }
+}
+
+/// Run a durable flood on `g` (k machines, random partition `part_seed`)
+/// for `supersteps` supersteps, committing every `cadence` into `dir`.
+void durable_flood_run(const Graph& g, MachineId k, std::uint64_t part_seed,
+                       const std::string& dir, unsigned cadence, std::uint64_t supersteps) {
+  const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), k, part_seed));
+  DurableStore store({dir, false, 3, 0});
+  const FaultSchedule quiet(1);
+  FaultPlaneConfig pcfg;
+  pcfg.checkpoint_every = cadence;
+  FaultPlane plane(quiet, pcfg);
+  plane.set_durable_store(&store);
+  Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), k));
+  ResumableFloodConfig cfg;
+  cfg.max_supersteps = supersteps;
+  cfg.fault = &plane;
+  (void)resumable_flood_connectivity(cluster, dg, cfg);
+  EXPECT_GT(plane.stats().durable_commits, 0u);
+}
+
+TEST(DurablePlane, FloodGenerationReencodesByteIdentically) {
+  // The store encodes straight from the live checkpoint store, ledger and
+  // inboxes; encode_frame over the decoded DurableFrame is the same
+  // encoder. Both must produce the file's exact bytes.
+  const std::string dir = temp_dir("reencode");
+  durable_flood_run(test_graph(300, 5), 6, 3, dir, 2, 7);
+  const auto gens = DurableStore::list_generations(dir);
+  ASSERT_TRUE(gens.ok());
+  ASSERT_FALSE(gens.value().empty());
+  for (const auto& [ordinal, path] : gens.value()) {
+    const std::vector<std::uint64_t> file = read_words_or_die(path);
+    const auto decoded = decode_frame(file);
+    ASSERT_TRUE(decoded.ok()) << decoded.error().message;
+    std::size_t inbox_messages = 0;
+    for (const auto& msgs : decoded.value().inbox) inbox_messages += msgs.size();
+    EXPECT_GT(inbox_messages, 0u) << "generation " << ordinal;
+    WordWriter w;
+    encode_frame(decoded.value(), w);
+    EXPECT_EQ(encoded_frame_words(decoded.value()), file.size());
+    EXPECT_EQ(std::move(w).take(), file) << "generation " << ordinal;
+  }
+}
+
+TEST(DurablePlaneDeath, FloodRestoreRejectsOutOfRangeWords) {
+  // A frame that passes the CRC can still carry impossible state words —
+  // anyone can recompute the checksum. Restore must name the bad field
+  // instead of indexing past the label array or reading a flag as "true".
+  const Graph g = test_graph(128, 11);
+  const MachineId k = 4;
+  const std::string dir = temp_dir("badwords");
+  durable_flood_run(g, k, 9, dir, 2, 3);
+  const auto rec = RecoveryManager::recover(dir, {FloodProgram::kStateVersion, 0, k});
+  ASSERT_TRUE(rec.ok()) << rec.error().message;
+  const DurableFrame& good = rec.value().frame;
+  ASSERT_GE(good.machine_words[1].size(), 5u);
+
+  // Snapshot layout per machine: steps, sent, done, then (label, changed)
+  // per hosted vertex.
+  struct Case {
+    const char* name;
+    std::size_t word;
+    std::uint64_t value;
+    const char* diagnostic;
+  };
+  const Case cases[] = {
+      {"label >= n", 3, g.num_vertices() + 5, "`label` word exceeds its vertex id"},
+      {"sent flag", 1, 2, "`sent` flag word is not 0/1"},
+      {"changed flag", 4, 7, "`changed` flag word is not 0/1"},
+  };
+  for (const Case& c : cases) {
+    DurableFrame bad;
+    bad.clear(k);
+    bad.state_version = good.state_version;
+    bad.ordinal = good.ordinal;
+    bad.machine_words = good.machine_words;
+    bad.machine_words[1][c.word] = c.value;
+    bad.ledger = good.ledger;
+    for (MachineId m = 0; m < k; ++m) {
+      for (const Message& msg : good.inbox[m]) {
+        bad.inbox[m].push_back(Message::make(msg.src, msg.dst, msg.tag, msg.payload(), msg.bits,
+                                             bad.payloads));
+      }
+    }
+    WordWriter w;
+    encode_frame(bad, w);
+    const std::string bad_dir = temp_dir("badwords_frame");
+    const std::string path = DurableStore::generation_path(bad_dir, bad.ordinal);
+    write_bytes_or_die(path, w.words().data(), w.size() * sizeof(std::uint64_t));
+
+    // The codec and the recovery scan accept it: the damage is semantic.
+    const auto bad_rec = RecoveryManager::recover(bad_dir, {FloodProgram::kStateVersion, 0, k});
+    ASSERT_TRUE(bad_rec.ok()) << c.name << ": " << bad_rec.error().message;
+    const auto resume = [&] {
+      const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), k, 9));
+      const FaultSchedule quiet(1);
+      FaultPlane plane(quiet);
+      plane.arm_resume(&bad_rec.value().frame);
+      Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), k));
+      ResumableFloodConfig cfg;
+      cfg.fault = &plane;
+      (void)resumable_flood_connectivity(cluster, dg, cfg);
+    };
+    EXPECT_DEATH(resume(), c.diagnostic) << c.name;
   }
 }
 
