@@ -4,6 +4,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "kmm.hpp"
 
 namespace {
@@ -24,7 +27,7 @@ void BM_L0Update(benchmark::State& state) {
 BENCHMARK(BM_L0Update);
 
 void BM_L0UpdateWithPowerTables(benchmark::State& state) {
-  // The production path: GraphSketchBuilder precomputes r^(x*n+y).
+  // The production path: GraphSketchBuilder's power table gives r^i.
   const std::size_t n = 4096;
   Rng rng(3);
   const Graph g = gen::gnm(n, 3 * n, rng);
@@ -41,6 +44,51 @@ void BM_L0UpdateWithPowerTables(benchmark::State& state) {
   state.counters["edges_per_part"] = static_cast<double>(edges);
 }
 BENCHMARK(BM_L0UpdateWithPowerTables);
+
+// The engine's SS1 kernel as pipeline-gnm runs it (n = 2^13, m = 3n,
+// weights in [1, 2^40]): accumulate_part into a pooled sampler, then
+// serialize, over 64-vertex parts covering the graph. Arg 0 keeps every
+// edge; arg 1 thresholds at the median weight (the MST elimination loop).
+// Reports the time per scanned half-edge, threshold-filtered ones included.
+void BM_AccumulatePart(benchmark::State& state) {
+  const std::size_t n = std::size_t{1} << 13;
+  constexpr std::size_t kPart = 64;
+  gen::ParGenConfig cfg;
+  cfg.seed = 41;
+  cfg.threads = 1;
+  cfg.weight_limit = Weight{1} << 40;
+  const Graph g = gen::gnm_par(n, 3 * n, cfg);
+  const DistributedGraph dg(g, VertexPartition::random(n, 16, 43));
+  std::vector<Weight> weights;
+  for (const auto& e : g.edges()) weights.push_back(e.w);
+  std::nth_element(weights.begin(), weights.begin() + weights.size() / 2, weights.end());
+  const Weight thr = state.range(0) == 0 ? kNoWeightLimit : weights[weights.size() / 2];
+
+  std::vector<std::vector<Vertex>> parts(n / kPart);
+  for (std::size_t v = 0; v < n; ++v) parts[v / kPart].push_back(static_cast<Vertex>(v));
+
+  GraphSketchBuilder builder(n, 47);
+  SketchPool pool;
+  WordWriter writer;
+  std::uint64_t seed = 47;
+  for (auto _ : state) {
+    builder.rebind(++seed);
+    for (const auto& part : parts) {
+      pool.release_all();
+      L0Sampler& sink = pool.acquire(builder.universe(), builder.params(), builder.seed());
+      builder.accumulate_part(dg, part, thr, sink);
+      writer.clear();
+      sink.serialize(writer);
+      benchmark::DoNotOptimize(writer.words().data());
+    }
+  }
+  const auto scanned = static_cast<double>(2 * g.num_edges());
+  // Seconds per scanned half-edge; the console prints it as e.g. "35ns".
+  state.counters["time_per_edge"] =
+      benchmark::Counter(static_cast<double>(state.iterations()) * scanned,
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AccumulatePart)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_L0Combine(benchmark::State& state) {
   const auto params = L0Params::for_universe(kUniverse);
@@ -71,15 +119,26 @@ void BM_L0Sample(benchmark::State& state) {
 }
 BENCHMARK(BM_L0Sample)->Arg(1)->Arg(64)->Arg(4096);
 
+// Per-iteration power-table refill, the cost the engine pays on the driver
+// thread before every elimination iteration: flat in n (it depends on
+// log n^2 only).
 void BM_BuilderPowerTables(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::uint64_t seed = 0;
+  GraphSketchBuilder builder(n, 1);
+  std::uint64_t seed = 1;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(GraphSketchBuilder(n, ++seed));
+    builder.rebind(++seed);
+    benchmark::DoNotOptimize(builder);
   }
   state.counters["n"] = static_cast<double>(n);
 }
-BENCHMARK(BM_BuilderPowerTables)->Arg(1024)->Arg(4096)->Arg(16384);
+BENCHMARK(BM_BuilderPowerTables)
+    ->Arg(1024)
+    ->Arg(4096)
+    ->Arg(16384)
+    ->Arg(1 << 17)
+    ->Arg(1 << 20)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SerializeRoundtrip(benchmark::State& state) {
   const auto params = L0Params::for_universe(kUniverse);

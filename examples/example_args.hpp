@@ -15,10 +15,15 @@
 // garbage after a number ("8x") exit(2) with a one-line error instead of
 // silently running with a misread configuration.
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "kmm.hpp"
@@ -32,13 +37,24 @@ namespace kmmex {
 // examples goes through these helpers instead so the failure is a clean
 // one-line error, not a confusing run with k=0.
 
-/// Parse a non-negative base-10 integer or exit(2) with a clean error.
-inline std::uint64_t require_u64(const char* flag, const char* text) {
+/// Parse a whole non-negative base-10 integer into `value`; false on an
+/// empty string, a sign, trailing garbage or overflow.
+inline bool parse_u64(const char* text, std::uint64_t& value) {
   errno = 0;
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
+  const unsigned long long parsed = std::strtoull(text, &end, 10);
   if (text[0] == '\0' || text[0] == '-' || end == nullptr || *end != '\0' ||
       errno == ERANGE) {
+    return false;
+  }
+  value = parsed;
+  return true;
+}
+
+/// Parse a non-negative base-10 integer or exit(2) with a clean error.
+inline std::uint64_t require_u64(const char* flag, const char* text) {
+  std::uint64_t value = 0;
+  if (!parse_u64(text, value)) {
     std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n", flag,
                  text);
     std::exit(2);
@@ -72,6 +88,64 @@ inline void require_machines(std::uint64_t k, std::uint64_t n, const char* flag)
                  static_cast<unsigned long long>(n));
     std::exit(2);
   }
+}
+
+// ---- edge-list input (kmachine_cli --input) ----
+
+/// Load a "u v [w]" edge list — one edge per line, '#' comment lines, the
+/// weight defaulting to 1 — through Graph::make, or exit(2) with the file
+/// and line. Strict like the flags: every token must be a whole
+/// non-negative integer, vertex ids must fit a 32-bit Vertex (no silent
+/// truncation), a line holds two or three tokens, and Graph::make's rules
+/// (no self-loops, parallel or weight-0 edges) hold.
+inline kmm::Graph load_edge_list(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) {
+    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
+    std::exit(2);
+  }
+  const auto fail = [&](std::size_t line_no, const std::string& what) {
+    std::fprintf(stderr, "error: '%s' line %zu: %s\n", path.c_str(), line_no, what.c_str());
+    std::exit(2);
+  };
+  std::vector<kmm::WeightedEdge> edges;
+  std::uint64_t max_vertex = 0;
+  std::string line;
+  for (std::size_t line_no = 1; std::getline(in, line); ++line_no) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream ls(line);
+    std::vector<std::string> tokens;
+    for (std::string token; ls >> token;) tokens.push_back(std::move(token));
+    if (tokens.empty()) continue;
+    if (tokens.size() < 2 || tokens.size() > 3) {
+      fail(line_no, "expected 'u v [w]', got '" + line + "'");
+    }
+    std::uint64_t ids[2] = {0, 0};
+    for (int i = 0; i < 2; ++i) {
+      const std::string& id = tokens[static_cast<std::size_t>(i)];
+      if (!parse_u64(id.c_str(), ids[i])) {
+        fail(line_no, "vertex id '" + id + "' is not a non-negative integer");
+      }
+      if (ids[i] > std::numeric_limits<kmm::Vertex>::max()) {
+        fail(line_no, "vertex id " + id + " does not fit a 32-bit vertex id");
+      }
+    }
+    std::uint64_t w = 1;
+    if (tokens.size() == 3 && !parse_u64(tokens[2].c_str(), w)) {
+      fail(line_no, "weight '" + tokens[2] + "' is not a non-negative integer");
+    }
+    edges.push_back(kmm::WeightedEdge{static_cast<kmm::Vertex>(ids[0]),
+                                      static_cast<kmm::Vertex>(ids[1]), w});
+    max_vertex = std::max({max_vertex, ids[0], ids[1]});
+  }
+  // Strict: a malformed file (self-loop, duplicate undirected edge, weight
+  // 0) exits with the factory's diagnostic rather than being repaired.
+  auto made = kmm::Graph::make(static_cast<std::size_t>(max_vertex) + 1, std::move(edges));
+  if (!made.ok()) {
+    std::fprintf(stderr, "error: '%s': %s\n", path.c_str(), made.error().message.c_str());
+    std::exit(2);
+  }
+  return std::move(made).value();
 }
 
 struct ExampleArgs {

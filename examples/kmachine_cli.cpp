@@ -47,10 +47,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
 
 #include "example_args.hpp"
@@ -237,37 +235,8 @@ Options parse(int argc, char** argv) {
   return opt;
 }
 
-Graph load_edge_list(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open '%s'\n", path.c_str());
-    std::exit(2);
-  }
-  std::vector<WeightedEdge> edges;
-  Vertex max_vertex = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
-    std::uint64_t u = 0, v = 0, w = 1;
-    if (!(ls >> u >> v)) continue;
-    ls >> w;  // optional weight
-    edges.push_back(WeightedEdge{static_cast<Vertex>(u), static_cast<Vertex>(v),
-                                 static_cast<Weight>(w)});
-    max_vertex = std::max({max_vertex, static_cast<Vertex>(u), static_cast<Vertex>(v)});
-  }
-  // Strict: a malformed file (self-loop, duplicate undirected edge) exits
-  // with the factory's diagnostic rather than being silently repaired.
-  auto made = Graph::make(static_cast<std::size_t>(max_vertex) + 1, std::move(edges));
-  if (!made.ok()) {
-    std::fprintf(stderr, "error: '%s': %s\n", path.c_str(), made.error().message.c_str());
-    std::exit(2);
-  }
-  return std::move(made).value();
-}
-
 Graph make_graph(const Options& opt) {
-  if (!opt.input.empty()) return load_edge_list(opt.input);
+  if (!opt.input.empty()) return kmmex::load_edge_list(opt.input);
   Rng rng(split(opt.seed, 0x9a4f));
   const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
   if (opt.graph == "gnm") return gen::gnm(opt.n, m, rng);

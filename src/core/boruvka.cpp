@@ -87,7 +87,6 @@ BoruvkaEngine::BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg,
   }
   writer_.resize(k);
   mask_scratch_.assign(k, std::vector<std::uint64_t>(mask_words()));
-  power_scratch_.resize(k);
   label_scratch_.resize(k);
   bit_scratch_.assign(k, 0);
   seen_scratch_.assign(n_, 0);
@@ -220,7 +219,7 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
         pool.release_all();
         L0Sampler& sketch =
             pool.acquire(builder.universe(), builder.params(), builder.seed());
-        builder.accumulate_part(*dg_, *part, thr, sketch, power_scratch_[i]);
+        builder.accumulate_part(*dg_, *part, thr, sketch);
         auto& w = writer_[i];
         w.clear();
         w.u64(label);
@@ -296,7 +295,7 @@ std::uint32_t BoruvkaEngine::run_elimination_loop(std::uint32_t phase) {
           }
           return;
         }
-        const auto sampled = sum != nullptr ? sum->sample() : std::nullopt;
+        const auto sampled = sum != nullptr ? sum->sample(builder.powers()) : std::nullopt;
         if (!sampled) {
           // Nonzero vector (or malformed sketch) but recovery failed: retry
           // with fresh seeds.

@@ -289,8 +289,8 @@ class BoruvkaEngine {
   // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
   // draw zeroed accumulators from here instead of constructing sketches.
   std::vector<SketchPool> sketch_pool_;
-  // One builder for the whole run, rebound per iteration (power tables
-  // recomputed in place); read-only inside handlers.
+  // One builder for the whole run, rebound per iteration (power table
+  // refilled in place); read-only inside handlers.
   std::optional<GraphSketchBuilder> builder_;
 
   // Per-machine scratch (machine-indexed like the state above, so handlers
@@ -298,7 +298,6 @@ class BoruvkaEngine {
   // steady state allocates nothing.
   std::vector<WordWriter> writer_;
   std::vector<std::vector<std::uint64_t>> mask_scratch_;   // child-src masks
-  std::vector<std::vector<std::uint64_t>> power_scratch_;  // fingerprint powers
   std::vector<std::vector<Label>> label_scratch_;  // finished/merged/count lists
   std::vector<char> bit_scratch_;   // per-machine flags for the OR-reduces
   std::vector<char> seen_scratch_;  // per-vertex marks for label counting

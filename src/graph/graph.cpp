@@ -37,6 +37,11 @@ Expected<Graph, BuildError> Graph::make(std::size_t n, std::vector<WeightedEdge>
       return Expected<Graph, BuildError>::err(
           {"self-loops are not supported: vertex " + std::to_string(e.u)});
     }
+    if (e.w == 0) {
+      return Expected<Graph, BuildError>::err(
+          {"edge weights must be positive: edge {" + std::to_string(e.u) + ", " +
+           std::to_string(e.v) + "} has weight 0"});
+    }
   }
   // Parallel-edge detection on a canonical key copy, leaving `edges` in the
   // caller's order for the ctor (whose own sort produces the CSR).

@@ -76,8 +76,9 @@ class Graph {
 
   /// Validating factory for edge lists of *external* origin (files, flags,
   /// wire input): pre-checks every rule the ctor would abort on — endpoint
-  /// range, self-loops, parallel edges — and returns the diagnostic as data
-  /// instead. On success the graph is identical to `Graph(n, edges, pool)`.
+  /// range, self-loops, parallel edges — plus the positive weights the MST
+  /// engine requires, and returns the diagnostic as data instead. On
+  /// success the graph is identical to `Graph(n, edges, pool)`.
   [[nodiscard]] static Expected<Graph, BuildError> make(std::size_t n,
                                                         std::vector<WeightedEdge> edges,
                                                         ThreadPool* pool = nullptr);

@@ -1,82 +1,72 @@
 #include "sketch/graph_sketch.hpp"
 
+#include <algorithm>
+#include <array>
+
 #include "util/assert.hpp"
-#include "util/prime_field.hpp"
 
 namespace kmm {
 
 GraphSketchBuilder::GraphSketchBuilder(std::size_t n, std::uint64_t seed, int copies)
     : n_(n),
       universe_(static_cast<std::uint64_t>(n) * n),
-      params_(L0Params::for_universe(static_cast<std::uint64_t>(n) * n, copies)),
-      seed_(seed) {
+      params_(L0Params::for_universe(universe_, copies)),
+      powers_(universe_, copies) {
   KMM_CHECK(n >= 2);
-  pow_low_.resize(static_cast<std::size_t>(params_.copies));
-  pow_high_.resize(static_cast<std::size_t>(params_.copies));
-  for (int c = 0; c < params_.copies; ++c) {
-    pow_low_[static_cast<std::size_t>(c)].resize(n);
-    pow_high_[static_cast<std::size_t>(c)].resize(n);
-  }
-  rebind(seed);
-}
-
-void GraphSketchBuilder::rebind(std::uint64_t seed) {
-  seed_ = seed;
-  for (int c = 0; c < params_.copies; ++c) {
-    const std::uint64_t r = L0Sampler::fingerprint_base_for(seed_, c);
-    auto& low = pow_low_[static_cast<std::size_t>(c)];
-    auto& high = pow_high_[static_cast<std::size_t>(c)];
-    low[0] = 1;
-    for (std::size_t y = 1; y < n_; ++y) low[y] = fp::mul(low[y - 1], r);
-    const std::uint64_t r_n = fp::mul(low[n_ - 1], r);  // r^n
-    high[0] = 1;
-    for (std::size_t x = 1; x < n_; ++x) high[x] = fp::mul(high[x - 1], r_n);
-  }
+  KMM_CHECK_MSG(copies <= L0Sampler::kMaxCopies,
+                "l0 sampler supports at most kMaxCopies copies");
+  powers_.rebind(seed);
 }
 
 L0Sampler GraphSketchBuilder::empty_sketch() const {
-  return L0Sampler(universe_, params_, seed_);
-}
-
-void GraphSketchBuilder::accumulate(const DistributedGraph& dg, Vertex u, Weight max_weight,
-                                    L0Sampler& sink, std::uint64_t* powers) const {
-  for (const auto& he : dg.neighbors(u)) {
-    if (he.weight > max_weight) continue;
-    const Vertex x = u < he.to ? u : he.to;
-    const Vertex y = u < he.to ? he.to : u;
-    const std::uint64_t index = static_cast<std::uint64_t>(x) * n_ + y;
-    const int value = u == x ? 1 : -1;
-    for (int c = 0; c < params_.copies; ++c) {
-      powers[c] = fp::mul(pow_high_[static_cast<std::size_t>(c)][x],
-                          pow_low_[static_cast<std::size_t>(c)][y]);
-    }
-    sink.update(index, value, powers);
-  }
+  return L0Sampler(universe_, params_, seed());
 }
 
 void GraphSketchBuilder::accumulate_part(const DistributedGraph& dg,
                                          std::span<const Vertex> part, Weight max_weight,
-                                         L0Sampler& sink,
-                                         std::vector<std::uint64_t>& power_scratch) const {
-  KMM_DCHECK(sink.universe() == universe_ && sink.seed() == seed_);
-  power_scratch.resize(static_cast<std::size_t>(params_.copies));
-  for (const Vertex u : part) accumulate(dg, u, max_weight, sink, power_scratch.data());
+                                         L0Sampler& sink) const {
+  KMM_DCHECK(sink.universe() == universe_ && sink.seed() == seed() &&
+             sink.params().levels == params_.levels &&
+             sink.params().copies == params_.copies);
+  const int copies = params_.copies;
+  // Highest level + 1 each copy's edges reach; the sink starts zeroed.
+  std::array<int, L0Sampler::kMaxCopies> top{};
+  for (int c = 0; c < copies; ++c) KMM_DCHECK(sink.used(c) == 0);
+
+  for (const Vertex u : part) {
+    for (const auto& he : dg.neighbors(u)) {
+      if (he.weight > max_weight) continue;
+      const bool lower = u < he.to;
+      const std::uint64_t index = lower ? static_cast<std::uint64_t>(u) * n_ + he.to
+                                        : static_cast<std::uint64_t>(he.to) * n_ + u;
+      const int value = lower ? 1 : -1;
+      for (int c = 0; c < copies; ++c) {
+        const int z = sink.level_of(index, c);
+        sink.copy_cells(c)[z].update(index, value, powers_.power(index, c));
+        top[static_cast<std::size_t>(c)] = std::max(top[static_cast<std::size_t>(c)], z + 1);
+      }
+    }
+  }
+
+  // Suffix sums: level l holds every item whose top level is >= l.
+  for (int c = 0; c < copies; ++c) {
+    const int used = top[static_cast<std::size_t>(c)];
+    OneSparseCell* cells = sink.copy_cells(c);
+    for (int l = used - 2; l >= 0; --l) cells[l].add(cells[l + 1]);
+    sink.used(c) = used;
+  }
 }
 
 L0Sampler GraphSketchBuilder::sketch_vertex(const DistributedGraph& dg, Vertex u,
                                             Weight max_weight) const {
-  L0Sampler s = empty_sketch();
-  std::vector<std::uint64_t> powers(static_cast<std::size_t>(params_.copies));
-  accumulate(dg, u, max_weight, s, powers.data());
-  return s;
+  return sketch_part(dg, std::span<const Vertex>(&u, 1), max_weight);
 }
 
 L0Sampler GraphSketchBuilder::sketch_part(const DistributedGraph& dg,
                                           std::span<const Vertex> part,
                                           Weight max_weight) const {
   L0Sampler s = empty_sketch();
-  std::vector<std::uint64_t> powers(static_cast<std::size_t>(params_.copies));
-  for (const Vertex u : part) accumulate(dg, u, max_weight, s, powers.data());
+  accumulate_part(dg, part, max_weight, s);
   return s;
 }
 

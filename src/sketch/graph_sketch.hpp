@@ -7,10 +7,16 @@
 // Summing a_u over a vertex set S cancels intra-S edges, leaving exactly
 // the outgoing edges of S — the property the connectivity algorithm rides.
 //
-// GraphSketchBuilder fixes the shared per-phase randomness (seed) and
-// precomputes, per sampler copy, fingerprint power tables
-//   r^(x*n + y) = (r^n)^x * r^y
-// so that building a sketch costs O(1) field mults per incident edge.
+// GraphSketchBuilder fixes the shared per-phase randomness (seed) and owns
+// one windowed power table (sketch/power_table.hpp): r_c^i is the product
+// of D = ceil(bits(U-1)/9) L1-resident lookups, whatever n is. Building a
+// part's sketch costs O(1) per incident edge and copy: each edge adds
+// (±1, ±i, ±r^i) into its top cell z_c(i) only, and one backward pass per
+// copy, cell[l] += cell[l+1] over the used prefix, turns top cells into
+// the per-level sums. Cell arithmetic is exact (s0 in wrapping Z, s1 and
+// s2 in F_p), so the cells equal what L0Sampler::update's level walk
+// builds, bit for bit. The same table verifies the proxy's samples
+// (L0Sampler::sample(const PowerTable&)).
 //
 // The weight threshold (`max_weight`) implements the MST elimination step
 // of Section 3.1: entries for edges heavier than the threshold are zeroed
@@ -18,12 +24,12 @@
 
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <span>
-#include <vector>
+#include <utility>
 
 #include "cluster/distributed_graph.hpp"
 #include "sketch/l0_sampler.hpp"
+#include "sketch/power_table.hpp"
 
 namespace kmm {
 
@@ -35,11 +41,11 @@ class GraphSketchBuilder {
   /// trades failure probability against sketch size.
   GraphSketchBuilder(std::size_t n, std::uint64_t seed, int copies = 3);
 
-  /// Rebind to a new per-iteration seed: recomputes the fingerprint power
-  /// tables in place (O(n * copies) field mults, zero allocations), so a
-  /// long-lived builder costs no heap traffic per iteration. n and copies
-  /// are fixed at construction.
-  void rebind(std::uint64_t seed);
+  /// Rebind to a new per-iteration seed: refills the power table in place
+  /// (O(copies · D · 2^w) field mults, independent of n; zero allocations),
+  /// so a long-lived builder costs no heap traffic per iteration. n and
+  /// copies are fixed at construction.
+  void rebind(std::uint64_t seed) { powers_.rebind(seed); }
 
   /// Sketch of a single vertex's incidence vector, restricted to edges of
   /// weight <= max_weight.
@@ -53,13 +59,12 @@ class GraphSketchBuilder {
                                       Weight max_weight = kNoWeightLimit) const;
 
   /// Allocation-free flavor: accumulate the part into a caller-provided
-  /// (typically pooled) sampler, using caller-owned scratch for the per-edge
-  /// fingerprint powers. `sink` must be zeroed and bound to this builder's
-  /// (universe, params, seed); `power_scratch` is resized to `copies` once
-  /// and reused across calls. The engine's SS1 hot path.
+  /// (typically pooled) sampler. `sink` must be zeroed — fresh or reset;
+  /// the closing suffix-sum pass would double-count cells it already held —
+  /// and bound to this builder's (universe, params, seed). The engine's SS1
+  /// hot path.
   void accumulate_part(const DistributedGraph& dg, std::span<const Vertex> part,
-                       Weight max_weight, L0Sampler& sink,
-                       std::vector<std::uint64_t>& power_scratch) const;
+                       Weight max_weight, L0Sampler& sink) const;
 
   /// An empty sketch with this builder's construction parameters
   /// (accumulator for proxy-side summation / deserialization target).
@@ -70,22 +75,15 @@ class GraphSketchBuilder {
 
   [[nodiscard]] std::uint64_t universe() const noexcept { return universe_; }
   [[nodiscard]] const L0Params& params() const noexcept { return params_; }
-  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return powers_.seed(); }
+  /// The fingerprint powers of the current seed; L0Sampler::sample takes it.
+  [[nodiscard]] const PowerTable& powers() const noexcept { return powers_; }
 
  private:
-  /// `powers` is caller scratch with one slot per sampler copy — hoisted out
-  /// so a part's (or a whole iteration's) vertices share one buffer instead
-  /// of re-allocating it per vertex.
-  void accumulate(const DistributedGraph& dg, Vertex u, Weight max_weight, L0Sampler& sink,
-                  std::uint64_t* powers) const;
-
   std::size_t n_;
   std::uint64_t universe_;
   L0Params params_;
-  std::uint64_t seed_;
-  // Per copy: r^y for y in [0, n) and (r^n)^x for x in [0, n).
-  std::vector<std::vector<std::uint64_t>> pow_low_;
-  std::vector<std::vector<std::uint64_t>> pow_high_;
+  PowerTable powers_;
 };
 
 }  // namespace kmm

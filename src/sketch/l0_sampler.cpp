@@ -118,10 +118,23 @@ void L0Sampler::reset(std::uint64_t seed) noexcept {
   }
 }
 
-std::optional<Recovered> L0Sampler::sample() const {
+std::optional<Recovered> L0Sampler::sample(const PowerTable& powers) const {
+  KMM_DCHECK(powers.seed() == seed_ && powers.universe() == universe_ &&
+             powers.copies() == params_.copies);
   // Scan levels from the full vector downward in sampling rate; the first
   // verified 1-sparse cell yields the sample. Copies give independence.
   // Zero cells never recover, so each copy's scan stops at its used prefix.
+  for (int c = 0; c < params_.copies; ++c) {
+    const OneSparseCell* cells = copy_cells(c);
+    for (int l = 0; l < used(c); ++l) {
+      const auto rec = cells[l].candidate(universe_);
+      if (rec && cells[l].verifies(*rec, powers.power(rec->index, c))) return rec;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<Recovered> L0Sampler::sample() const {
   for (int c = 0; c < params_.copies; ++c) {
     const std::uint64_t r = fingerprint_base(c);
     const OneSparseCell* cells = copy_cells(c);

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "sketch/one_sparse.hpp"
+#include "sketch/power_table.hpp"
 #include "util/codec.hpp"
 #include "util/hashing.hpp"
 
@@ -72,10 +73,11 @@ class L0Sampler {
 
   L0Sampler(std::uint64_t universe, L0Params params, std::uint64_t seed);
 
-  /// Add `value` (±1) at `index`. O(1) expected cell updates per copy.
-  /// `r_pow_index` per copy must equal r_c^index; callers with many updates
-  /// use precomputed power tables (GraphSketchBuilder), casual callers use
-  /// the convenience overload below.
+  /// Add `value` (±1) at `index`, walking levels 0..z_c(index) of every
+  /// copy. `r_pow_index_per_copy[c]` must equal r_c^index. The reference
+  /// update: GraphSketchBuilder::accumulate_part builds the same cells in
+  /// O(1) per copy (top cell, then one suffix-sum pass), and tests pin the
+  /// two equal.
   void update(std::uint64_t index, int value, const std::uint64_t* r_pow_index_per_copy);
 
   /// Convenience overload computing the fingerprint powers directly
@@ -101,7 +103,12 @@ class L0Sampler {
 
   /// Recover some nonzero index, or nullopt if the vector appears empty /
   /// recovery failed everywhere (probability polynomially small for
-  /// nonzero vectors).
+  /// nonzero vectors). Verifies candidates with r^index from `powers`,
+  /// which must be bound to this sampler's (universe, copies, seed).
+  [[nodiscard]] std::optional<Recovered> sample(const PowerTable& powers) const;
+
+  /// Reference flavor of the same: r^index by square-and-multiply
+  /// (OneSparseCell::recover). Equal results, ~90 field mults per check.
   [[nodiscard]] std::optional<Recovered> sample() const;
 
   /// Whole-vector zero test via the level-0 fingerprints of every copy:
@@ -148,6 +155,10 @@ class L0Sampler {
                                WordReader& reader);
 
  private:
+  // The sketch kernel adds into top cells and closes with a suffix-sum pass
+  // over the used prefixes — an intermediate state only it may create.
+  friend class GraphSketchBuilder;
+
   void bind_seed(std::uint64_t seed) noexcept;
 
   /// Cells of copy c, levels 0..levels-1 contiguous.

@@ -26,15 +26,9 @@ void OneSparseCell::add(const OneSparseCell& other) noexcept {
 
 std::optional<Recovered> OneSparseCell::recover(std::uint64_t r,
                                                 std::uint64_t universe) const noexcept {
-  if (s0_ != 1 && s0_ != -1) return std::nullopt;
-  // Candidate index: s1 if value = +1, -s1 if value = -1.
-  const std::uint64_t idx = s0_ == 1 ? s1_ : fp::neg(s1_);
-  if (idx >= universe) return std::nullopt;
-  // Fingerprint verification: s2 must equal s0 * r^idx.
-  const std::uint64_t expect = fp::pow(r, idx);
-  const std::uint64_t want = s0_ == 1 ? expect : fp::neg(expect);
-  if (s2_ != want) return std::nullopt;
-  return Recovered{idx, s0_ == 1 ? 1 : -1};
+  const auto rec = candidate(universe);
+  if (!rec || !verifies(*rec, fp::pow(r, rec->index))) return std::nullopt;
+  return rec;
 }
 
 std::uint64_t OneSparseCell::wire_bits(std::uint64_t universe) noexcept {

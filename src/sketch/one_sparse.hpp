@@ -28,7 +28,7 @@ struct Recovered {
 class OneSparseCell {
  public:
   /// Add `value` (±1) at `index`; `r_pow_index` must equal r^index mod p
-  /// (callers precompute it — see GraphSketchBuilder's power tables).
+  /// (callers look it up — see sketch/power_table.hpp).
   void update(std::uint64_t index, int value, std::uint64_t r_pow_index) noexcept;
 
   /// Linear combination with another cell over the same (U, r).
@@ -51,9 +51,26 @@ class OneSparseCell {
   /// fingerprint-only is_zero test at the sampler level).
   [[nodiscard]] bool all_zero() const noexcept { return s0_ == 0 && s1_ == 0 && s2_ == 0; }
 
+  /// The entry the cell holds if it is 1-sparse: s0 = ±1 and the index
+  /// s0 · s1 inside [0, universe). Unverified — confirm with verifies().
+  [[nodiscard]] std::optional<Recovered> candidate(std::uint64_t universe) const noexcept {
+    if (s0_ != 1 && s0_ != -1) return std::nullopt;
+    const std::uint64_t idx = s0_ == 1 ? s1_ : fp::neg(s1_);
+    if (idx >= universe) return std::nullopt;
+    return Recovered{idx, s0_ == 1 ? 1 : -1};
+  }
+
+  /// Fingerprint check of a candidate: s2 == value · r^index, given
+  /// `r_pow_index` = r^index.
+  [[nodiscard]] bool verifies(const Recovered& rec, std::uint64_t r_pow_index) const noexcept {
+    return s2_ == (rec.value == 1 ? r_pow_index : fp::neg(r_pow_index));
+  }
+
   /// If the summarized vector is exactly 1-sparse, returns its single
   /// entry; otherwise (w.h.p.) nullopt. `r` is the fingerprint base and
-  /// `universe` bounds valid indices.
+  /// `universe` bounds valid indices. Reference path: r^index by
+  /// square-and-multiply (the engine verifies by table lookup instead,
+  /// L0Sampler::sample(const PowerTable&)).
   [[nodiscard]] std::optional<Recovered> recover(std::uint64_t r,
                                                  std::uint64_t universe) const noexcept;
 

@@ -6,10 +6,9 @@
 // as its own test with a plain main().
 //
 // What it asserts: one steady-state Borůvka elimination iteration — builder
-// rebind, part sketching into a pooled accumulator with caller scratch,
-// serialization into a reused WordWriter, proxy-side wire-level merging
-// into pooled sums behind a LabelRegistry, and the sample/is_zero state
-// transitions — performs ZERO heap allocations once the capacity-retaining
+// rebind, part sketching into a pooled accumulator, serialization into a
+// reused WordWriter, proxy-side wire-level merging into pooled sums behind
+// a LabelRegistry, and the sample/is_zero state transitions — performs ZERO heap allocations once the capacity-retaining
 // structures are warm. This is the compute-plane analogue of the message
 // plane's 0 allocs/superstep (PR 3); bench_boruvka_hotpath reports the same
 // quantity with throughput numbers against the checked-in baseline.
@@ -57,7 +56,6 @@ int failures = 0;
 void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
                    std::uint64_t seed, const std::vector<std::vector<Vertex>>& parts,
                    SketchPool& home_pool, SketchPool& proxy_pool, WordWriter& writer,
-                   std::vector<std::uint64_t>& power_scratch,
                    std::vector<std::vector<std::uint64_t>>& wire,
                    LabelRegistry<std::uint32_t>& sums, std::uint64_t* sink) {
   builder.rebind(seed);
@@ -71,8 +69,7 @@ void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
       home_pool.release_all();
       L0Sampler& sketch =
           home_pool.acquire(builder.universe(), builder.params(), builder.seed());
-      builder.accumulate_part(dg, parts[label * kParts + p], kNoWeightLimit, sketch,
-                              power_scratch);
+      builder.accumulate_part(dg, parts[label * kParts + p], kNoWeightLimit, sketch);
       writer.clear();
       writer.u64(label);
       sketch.serialize(writer);
@@ -100,7 +97,7 @@ void run_iteration(GraphSketchBuilder& builder, const DistributedGraph& dg,
   sums.for_each_sorted([&](Label label, std::uint32_t idx) {
     L0Sampler& sum = proxy_pool.at(idx);
     if (sum.is_zero()) return;
-    if (const auto rec = sum.sample()) *sink += rec->index + label;
+    if (const auto rec = sum.sample(builder.powers())) *sink += rec->index + label;
   });
 }
 
@@ -178,7 +175,6 @@ int main() {
   GraphSketchBuilder builder(kN, /*seed=*/1);
   SketchPool home_pool, proxy_pool;
   WordWriter writer;
-  std::vector<std::uint64_t> power_scratch;
   std::vector<std::vector<std::uint64_t>> wire(kLabels * kParts);
   const std::size_t max_message_words = 1 + builder.empty_sketch().max_wire_words();
   for (auto& slot : wire) slot.reserve(max_message_words);
@@ -188,13 +184,13 @@ int main() {
 
   for (int it = 0; it < kWarmupIters; ++it) {
     run_iteration(builder, dg, 100 + static_cast<std::uint64_t>(it), parts, home_pool,
-                  proxy_pool, writer, power_scratch, wire, sums, &sink);
+                  proxy_pool, writer, wire, sums, &sink);
   }
 
   const auto a0 = alloc_count();
   for (int it = 0; it < kMeasureIters; ++it) {
     run_iteration(builder, dg, 200 + static_cast<std::uint64_t>(it), parts, home_pool,
-                  proxy_pool, writer, power_scratch, wire, sums, &sink);
+                  proxy_pool, writer, wire, sums, &sink);
   }
   const auto steady_allocs = alloc_count() - a0;
   EXPECT_ZERO(steady_allocs, "steady-state sketch-plane allocations");

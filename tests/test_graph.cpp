@@ -98,6 +98,16 @@ TEST(GraphContainer, MakeRejectsSelfLoopsAndParallel) {
   EXPECT_NE(range.error().message.find("out of range"), std::string::npos);
 }
 
+TEST(GraphContainer, MakeRejectsZeroWeight) {
+  // The MST engine needs weights >= 1; a weight-0 edge in external input
+  // must come back as a diagnostic naming the edge, not abort a query later.
+  const auto zero = Graph::make(4, {{0, 1, 0}, {1, 2, 5}, {2, 3, 7}});
+  ASSERT_FALSE(zero.ok());
+  EXPECT_NE(zero.error().message.find("weights must be positive"), std::string::npos);
+  EXPECT_NE(zero.error().message.find("{0, 1}"), std::string::npos);
+  EXPECT_TRUE(Graph::make(4, {{0, 1, 1}, {1, 2, 5}, {2, 3, 7}}).ok());
+}
+
 TEST(GraphContainer, MakeAcceptsValidEdgeList) {
   auto made = Graph::make(4, {{2, 0, 5}, {0, 1, 3}, {1, 2, 4}});
   ASSERT_TRUE(made.ok());

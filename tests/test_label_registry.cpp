@@ -180,11 +180,10 @@ TEST(SketchPool, PooledAccumulatorMatchesFreshSketch) {
   std::iota(part.begin(), part.end(), 0);
 
   SketchPool pool;
-  std::vector<std::uint64_t> scratch;
   for (int round = 0; round < 3; ++round) {
     pool.release_all();
     L0Sampler& pooled = pool.acquire(builder.universe(), builder.params(), builder.seed());
-    builder.accumulate_part(dg, part, kNoWeightLimit, pooled, scratch);
+    builder.accumulate_part(dg, part, kNoWeightLimit, pooled);
     const L0Sampler fresh = builder.sketch_part(dg, part);
     WordWriter wp, wf;
     pooled.serialize(wp);

@@ -552,5 +552,57 @@ TEST(ExampleArgsServe, RejectsNegativeMaxInflight) {
               "--max-inflight expects a non-negative integer");
 }
 
+// kmachine_cli --input: the edge-list loader exits 2 naming the line instead
+// of truncating ids or misreading weights into a different graph.
+
+std::string write_edge_list(const std::string& name, const char* text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  EXPECT_NE(f, nullptr);
+  if (f != nullptr) {
+    std::fputs(text, f);
+    std::fclose(f);
+  }
+  return path;
+}
+
+TEST(ExampleArgsEdgeList, LoadsWeightsCommentsAndDefaults) {
+  const Graph g = kmmex::load_edge_list(
+      write_edge_list("kmm_edges_ok.txt", "# comment\n0 1 4\n\n1 2\n  2 3 9  \n"));
+  EXPECT_EQ(g.num_vertices(), 4u);
+  ASSERT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(g.edges()[0], (WeightedEdge{0, 1, 4}));
+  EXPECT_EQ(g.edges()[1], (WeightedEdge{1, 2, 1}));
+  EXPECT_EQ(g.edges()[2], (WeightedEdge{2, 3, 9}));
+}
+
+TEST(ExampleArgsEdgeList, RejectsVertexIdAbove32Bits) {
+  const std::string path = write_edge_list("kmm_edges_wide.txt", "0 1 3\n4294967298 0 4\n");
+  EXPECT_EXIT((void)kmmex::load_edge_list(path), ::testing::ExitedWithCode(2),
+              "line 2: vertex id 4294967298 does not fit a 32-bit vertex id");
+}
+
+TEST(ExampleArgsEdgeList, RejectsUnparsableWeight) {
+  const std::string path = write_edge_list("kmm_edges_weight.txt", "0 1 3\n1 2 heavy\n");
+  EXPECT_EXIT((void)kmmex::load_edge_list(path), ::testing::ExitedWithCode(2),
+              "line 2: weight 'heavy' is not a non-negative integer");
+}
+
+TEST(ExampleArgsEdgeList, RejectsUnparsableVertexAndExtraTokens) {
+  const std::string bad_id = write_edge_list("kmm_edges_id.txt", "x 1 3\n");
+  EXPECT_EXIT((void)kmmex::load_edge_list(bad_id), ::testing::ExitedWithCode(2),
+              "line 1: vertex id 'x' is not a non-negative integer");
+  const std::string extra = write_edge_list("kmm_edges_extra.txt", "0 1 3\n1 2 3 4\n");
+  EXPECT_EXIT((void)kmmex::load_edge_list(extra), ::testing::ExitedWithCode(2),
+              "line 2: expected 'u v \\[w\\]'");
+}
+
+TEST(ExampleArgsEdgeList, RejectsZeroWeight) {
+  const std::string path = write_edge_list("kmm_edges_w0.txt",
+                                           "0 1 0\n1 2 5\n2 3 7\n3 0 9\n0 2 11\n");
+  EXPECT_EXIT((void)kmmex::load_edge_list(path), ::testing::ExitedWithCode(2),
+              "edge weights must be positive: edge \\{0, 1\\} has weight 0");
+}
+
 }  // namespace
 }  // namespace kmm
