@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdio>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +15,13 @@
 namespace kmm {
 
 namespace {
+
+constexpr std::uint64_t kNoEdge = ~std::uint64_t{0};
+
+/// Orders edges by (min endpoint, max endpoint).
+std::uint64_t edge_key(Vertex u, Vertex v) {
+  return std::uint64_t{std::min(u, v)} << 32 | std::max(u, v);
+}
 
 unsigned resolve_ingest_threads(unsigned requested) {
   return requested != 0 ? requested : std::max(1u, std::thread::hardware_concurrency());
@@ -45,19 +53,34 @@ Expected<DistributedGraph, IngestError> stream_ingest(std::size_t n,
   // COUNT: replay the stream, tallying candidate degrees. cnt doubles as the
   // fill pass's per-vertex slot cursor afterwards, so the whole pipeline
   // carries one 4-byte atomic per vertex of transient state.
+  // A weight-0 edge is rejected as Graph::make rejects it. The smallest
+  // offending (min, max) endpoint pair is kept, so the diagnostic does not
+  // depend on which ingest thread saw which chunk first.
   std::vector<std::atomic<std::uint32_t>> cnt(n);
   std::atomic<bool> any_weighted{false};
+  std::atomic<std::uint64_t> zero_weight{kNoEdge};
   stream([&](std::size_t, std::span<const WeightedEdge> edges) {
     bool saw_weight = false;
+    std::uint64_t chunk_zero = kNoEdge;
     for (const auto& e : edges) {
       KMM_CHECK_MSG(e.u < n && e.v < n && e.u != e.v,
                     "stream_ingest: streamed edge out of range or self-loop");
       cnt[e.u].fetch_add(1, std::memory_order_relaxed);
       cnt[e.v].fetch_add(1, std::memory_order_relaxed);
       saw_weight |= e.w != 1;
+      if (e.w == 0) chunk_zero = std::min(chunk_zero, edge_key(e.u, e.v));
     }
     if (saw_weight) any_weighted.store(true, std::memory_order_relaxed);
+    std::uint64_t cur = zero_weight.load(std::memory_order_relaxed);
+    while (chunk_zero < cur &&
+           !zero_weight.compare_exchange_weak(cur, chunk_zero, std::memory_order_relaxed)) {
+    }
   });
+  if (const std::uint64_t key = zero_weight.load(std::memory_order_relaxed); key != kNoEdge) {
+    return Expected<DistributedGraph, IngestError>::err(IngestError{
+        "stream_ingest: edge weights must be positive: edge {" + std::to_string(key >> 32) +
+        ", " + std::to_string(key & 0xffffffffu) + "} has weight 0"});
+  }
   const bool weighted = any_weighted.load(std::memory_order_relaxed);
 
   // LAYOUT: per-machine slot layout over ascending vertex ids — the same

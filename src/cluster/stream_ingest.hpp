@@ -12,7 +12,8 @@
 // Mechanics (two replays of a re-runnable stream, KaGen-style):
 //   1. COUNT  — replay the stream, atomically counting each endpoint's
 //      candidate degree (rmat streams may contain duplicate candidates;
-//      they are counted here and removed in FINALIZE).
+//      they are counted here and removed in FINALIZE). A weight-0 edge
+//      fails here, before any shard is allocated.
 //   2. LAYOUT — per-machine slot layout over ascending hosted vertex ids,
 //      then the MachineMemoryBudget check: every machine's projected bytes
 //      (adjacency slots + per-vertex index entries) must fit the cap, else
@@ -69,6 +70,9 @@ struct StreamIngestOptions {
 /// is replayed twice; edges must satisfy u, v < n and u != v, and duplicate
 /// (u, v) occurrences must carry identical weights.
 ///
+/// A weight-0 edge returns an IngestError in Graph::make's wording ("edge
+/// weights must be positive"), naming the smallest such edge by (min, max)
+/// endpoint, so the diagnostic is the same for every ingest thread count.
 /// Resource exhaustion — a machine whose projected shard bytes exceed the
 /// MachineMemoryBudget, or a scheduled ingest allocation failure — returns
 /// an IngestError naming the machine and shortfall instead of aborting;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/flood_exchange.hpp"
 #include "fault/fault_plane.hpp"
 #include "util/assert.hpp"
 #include "util/codec.hpp"
@@ -9,30 +10,8 @@
 namespace kmm {
 
 namespace {
-constexpr std::uint32_t kTagFlood = 1;
 constexpr std::uint32_t kTagCtrl = 2;
-
-/// Same machine-local fixpoint as the lambda engine: push labels of dirty
-/// vertices through the hosted subgraph; only machine-owned cells are
-/// written, so concurrent per-machine handlers stay race-free. The queue is
-/// walked by index in FIFO order and cleared at the end, keeping its
-/// capacity for the next superstep.
-void local_propagate(const DistributedGraph& dg, MachineId machine,
-                     std::vector<Label>& labels, std::vector<char>& changed,
-                     std::vector<Vertex>& queue) {
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex v = queue[head];
-    for (const auto& he : dg.neighbors(v)) {
-      if (dg.home(he.to) != machine) continue;
-      if (labels[v] < labels[he.to]) {
-        labels[he.to] = labels[v];
-        changed[he.to] = 1;
-        queue.push_back(he.to);
-      }
-    }
-  }
-  queue.clear();
-}
+static_assert(kTagCtrl != FloodExchange::kTag);
 
 /// A restored flag word must be 0 or 1; a checksummed frame can still
 /// carry anything, so say which field was not.
@@ -47,7 +26,7 @@ char restore_flag(WordReader& in, const char* diagnostic) {
 FloodProgram::FloodProgram(const DistributedGraph& dg, MachineId k)
     : dg_(&dg),
       k_(k),
-      label_bits_(bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2))) {
+      exchange_(dg, k) {
   const std::size_t n = dg.num_vertices();
   labels_.resize(n);
   for (Vertex v = 0; v < n; ++v) labels_[v] = v;
@@ -55,8 +34,6 @@ FloodProgram::FloodProgram(const DistributedGraph& dg, MachineId k)
   sent_.assign(k, 0);
   done_.assign(k, 0);
   steps_.assign(k, 0);
-  queue_.resize(k);
-  boundary_.resize(k);
 }
 
 bool FloodProgram::done() const {
@@ -65,32 +42,18 @@ bool FloodProgram::done() const {
 
 void FloodProgram::on_superstep(MachineId self, std::span<const Message> inbox,
                                 Outbox& out) {
-  auto& q = queue_[self];
   bool active_prev = sent_[self] != 0;
   if (steps_[self] == 0) {
     // First superstep: seed the local fixpoint from every hosted vertex
     // (all changed bits start set). Nothing arrived yet and termination is
     // impossible before at least one exchange.
-    q.assign(dg_->vertices_of(self).begin(), dg_->vertices_of(self).end());
-    local_propagate(*dg_, self, labels_, changed_, q);
+    exchange_.start(self, labels_, changed_);
     active_prev = true;
   } else {
     for (const Message& msg : inbox) {
-      if (msg.tag == kTagCtrl) {
-        active_prev = active_prev || msg.payload()[0] != 0;
-        continue;
-      }
-      KMM_DCHECK(msg.tag == kTagFlood && msg.payload_words() >= 2);
-      const auto v = static_cast<Vertex>(msg.payload()[0]);
-      KMM_CHECK_MSG(dg_->home(v) == self, "flood label for a vertex homed elsewhere");
-      const Label label = msg.payload()[1];
-      if (label < labels_[v]) {
-        labels_[v] = label;
-        changed_[v] = 1;
-        q.push_back(v);
-      }
+      if (msg.tag == kTagCtrl) active_prev = active_prev || msg.payload()[0] != 0;
     }
-    local_propagate(*dg_, self, labels_, changed_, q);
+    exchange_.receive(self, inbox, labels_, changed_);
   }
 
   if (!active_prev) {
@@ -104,24 +67,7 @@ void FloodProgram::on_superstep(MachineId self, std::span<const Message> inbox,
 
   // Boundary exchange: minimum candidate label per remote target among the
   // hosted vertices that changed, in deterministic ascending order.
-  auto& cand = boundary_[self];
-  cand.clear();
-  for (const Vertex v : dg_->vertices_of(self)) {
-    if (!changed_[v]) continue;
-    for (const auto& he : dg_->neighbors(v)) {
-      if (dg_->home(he.to) == self) continue;
-      cand.emplace_back(he.to, labels_[v]);
-    }
-  }
-  for (const Vertex v : dg_->vertices_of(self)) changed_[v] = 0;
-  std::sort(cand.begin(), cand.end());
-  cand.erase(std::unique(cand.begin(), cand.end(),
-                         [](const auto& a, const auto& b) { return a.first == b.first; }),
-             cand.end());
-  sent_[self] = cand.empty() ? 0 : 1;
-  for (const auto& [target, label] : cand) {
-    out.send(dg_->home(target), kTagFlood, {target, label}, 2 * label_bits_);
-  }
+  sent_[self] = exchange_.send(self, labels_, changed_, out) ? 1 : 0;
   // Convergence plane: broadcast this superstep's activity flag. Replaces
   // the lambda engine's or-reduce steps — flattened into the data superstep
   // so the program stays uniform (and therefore resumable).
@@ -153,8 +99,6 @@ void FloodProgram::restore(MachineId m, WordReader& in) {
     KMM_CHECK_MSG(labels_[v] <= v, "flood restore: `label` word exceeds its vertex id");
     changed_[v] = restore_flag(in, "flood restore: `changed` flag word is not 0/1");
   }
-  queue_[m].clear();
-  boundary_[m].clear();
 }
 
 ResumableFloodResult resumable_flood_connectivity(Cluster& cluster,

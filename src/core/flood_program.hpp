@@ -25,11 +25,11 @@
 // just flattened into the data supersteps.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "cluster/distributed_graph.hpp"
 #include "core/common.hpp"
+#include "core/flood_exchange.hpp"
 #include "obs/obs_sink.hpp"
 #include "runtime/machine_program.hpp"
 
@@ -60,19 +60,18 @@ class FloodProgram final : public MachineProgram {
  private:
   const DistributedGraph* dg_;
   MachineId k_;
-  std::uint64_t label_bits_;
+  FloodExchange exchange_;
 
   // Machine-partitioned shared state (rule 2): labels_[v]/changed_[v] are
   // touched only by the handler of dg.home(v); the per-machine vectors only
   // by handler m at index m. Serialized state is everything a handler reads
-  // across steps; queue_/boundary_ are drained within one step (scratch).
+  // across steps. exchange_'s boundary plan is structural and its queues
+  // are empty between steps, so neither is serialized.
   std::vector<Label> labels_;
   std::vector<char> changed_;
   std::vector<char> sent_;              // [m] flag broadcast last superstep
   std::vector<char> done_;              // [m] fixpoint observed
   std::vector<std::uint64_t> steps_;    // [m] supersteps executed (lockstep)
-  std::vector<std::vector<Vertex>> queue_;                      // scratch
-  std::vector<std::vector<std::pair<Vertex, Label>>> boundary_; // scratch
 };
 
 /// Driver config/result mirroring FloodingConfig/FloodingResult; `fault`

@@ -57,6 +57,7 @@
 #include "core/boruvka.hpp"
 #include "core/connectivity.hpp"
 #include "core/drr.hpp"
+#include "core/flood_exchange.hpp"
 #include "core/flood_program.hpp"
 #include "core/flooding.hpp"
 #include "core/label_registry.hpp"

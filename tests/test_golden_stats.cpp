@@ -122,6 +122,13 @@ std::vector<GoldenCase> golden_cases() {
       return c.stats();
     });
 
+    add(std::string("resumable_flood/") + gname, [g](unsigned threads) {
+      Cluster c = fresh_cluster(g.num_vertices());
+      const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
+      (void)resumable_flood_connectivity(c, dg, ResumableFloodConfig{.threads = threads});
+      return c.stats();
+    });
+
     add(std::string("referee/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
@@ -198,12 +205,15 @@ std::vector<GoldenCase> golden_cases() {
 
 // Seed values captured from the pre-change (heap-vector payload)
 // representation; the current representation must reproduce them exactly.
+// The resumable_flood rows were captured from the per-superstep
+// gather/sort/unique boundary exchange that core/flood_exchange replaced.
 // clang-format off
 constexpr GoldenRow kGolden[] = {
     {"connectivity/path", 8881u, 201u, 11135u, 1585u, 22677935u, 144560u, 0u},
     {"connectivity_cut/path", 8114u, 179u, 10289u, 1365u, 21299690u, 171665u, 12210460u},
     {"mst/path", 18641u, 296u, 22100u, 3136u, 50506116u, 146804u, 0u},
     {"flooding/path", 4447u, 1576u, 266144u, 519u, 9442256u, 1008u, 0u},
+    {"resumable_flood/path", 3489u, 526u, 288288u, 0u, 9818704u, 1025u, 0u},
     {"referee/path", 60u, 2u, 1047u, 76u, 37692u, 2952u, 0u},
     {"two_edge/path", 10068u, 223u, 15130u, 2110u, 27145516u, 153595u, 0u},
     {"verify_st+cycle/path", 17804u, 404u, 21362u, 2824u, 43816383u, 162630u, 0u},
@@ -213,6 +223,7 @@ constexpr GoldenRow kGolden[] = {
     {"connectivity_cut/gnm", 9265u, 199u, 13820u, 1875u, 25522236u, 190600u, 14498967u},
     {"mst/gnm", 49548u, 668u, 53305u, 7579u, 126051054u, 240698u, 0u},
     {"flooding/gnm", 100u, 16u, 10507u, 5u, 376789u, 2268u, 0u},
+    {"resumable_flood/gnm", 90u, 6u, 10766u, 0u, 381192u, 2285u, 0u},
     {"referee/gnm", 159u, 2u, 2783u, 317u, 100188u, 11736u, 0u},
     {"two_edge/gnm", 10651u, 217u, 14524u, 1933u, 27146736u, 209660u, 0u},
     {"verify_st+cycle/gnm", 21882u, 464u, 29728u, 4026u, 54941159u, 209660u, 0u},
@@ -222,6 +233,7 @@ constexpr GoldenRow kGolden[] = {
     {"connectivity_cut/rmat", 9095u, 218u, 14311u, 2013u, 22710787u, 239900u, 13046309u},
     {"mst/rmat", 35856u, 580u, 42570u, 6155u, 80550875u, 239900u, 0u},
     {"flooding/rmat", 51u, 13u, 4433u, 4u, 158467u, 1800u, 0u},
+    {"resumable_flood/rmat", 45u, 5u, 4654u, 0u, 162224u, 1817u, 0u},
     {"referee/rmat", 229u, 2u, 3449u, 441u, 124164u, 17640u, 0u},
     {"two_edge/rmat", 8105u, 164u, 12704u, 1747u, 21060667u, 220708u, 0u},
     {"verify_st+cycle/rmat", 17978u, 356u, 26874u, 3662u, 43809173u, 259092u, 0u},
@@ -259,7 +271,7 @@ TEST(GoldenStats, LedgerMatchesCheckedInSeedValues) {
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     const auto& expect = kGolden[ci];
     ASSERT_STREQ(expect.name, cases[ci].name.c_str()) << "case order drifted";
-    for (const unsigned threads : {1u, 8u}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
       const auto s = cases[ci].run(threads);
       const auto what = cases[ci].name + " threads=" + std::to_string(threads);
       EXPECT_EQ(s.rounds, expect.rounds) << what;

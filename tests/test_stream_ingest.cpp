@@ -204,6 +204,42 @@ TEST(StreamIngest, ScheduledAllocFailureReturnsStructuredError) {
   EXPECT_NE(r.error().message.find("machine 2"), std::string::npos) << r.error().message;
 }
 
+TEST(StreamIngest, RejectsZeroWeightEdge) {
+  // Graph::make's rule on the shard-direct path: a weight-0 edge is a
+  // structured error at ingest, not an MST abort later.
+  const std::vector<WeightedEdge> small = {{0, 1, 3}, {1, 2, 0}, {2, 3, 5}};
+  const auto r =
+      stream_ingest(4, VertexPartition::random(4, 2, 7), gen::edge_list_stream(small));
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message.find("edge weights must be positive: edge {1, 2} has weight 0"),
+            std::string::npos)
+      << r.error().message;
+
+  // Several offenders spread over many chunks, emitted last chunk first by
+  // concurrent sinks: every thread count names the smallest one, whichever
+  // chunk reached the sink first.
+  const std::size_t n = 5000;
+  constexpr std::size_t kPer = 128;
+  auto edges = path_edges(n);
+  for (const std::size_t i : {4321u, 77u, 2900u}) edges[i].w = 0;
+  std::swap(edges[77].u, edges[77].v);  // reported by (min, max) endpoint
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    const gen::EdgeStream reversed = [&](const gen::EdgeChunkSink& sink) {
+      const std::size_t chunks = (edges.size() + kPer - 1) / kPer;
+      pool.parallel_for(chunks, [&](std::size_t i) {
+        const std::size_t c = chunks - 1 - i;
+        const std::size_t hi = std::min((c + 1) * kPer, edges.size());
+        sink(c, std::span<const WeightedEdge>(edges.data() + c * kPer, hi - c * kPer));
+      });
+    };
+    const auto rr = stream_ingest(n, VertexPartition::random(n, 4, 7), reversed);
+    ASSERT_FALSE(rr.ok()) << "threads=" << threads;
+    EXPECT_NE(rr.error().message.find("edge {77, 78} has weight 0"), std::string::npos)
+        << rr.error().message;
+  }
+}
+
 TEST(StreamIngestDeathTest, ShardBackendHasNoGlobalGraph) {
   const std::size_t n = 600;
   const auto edges = path_edges(n);
