@@ -63,7 +63,7 @@ int main() {
   print_slope("min-cut rounds vs k (~ -2)", kd, rounds);
 
   // Runtime thread scaling: the whole sampling sweep runs its inner
-  // connectivity instances on the parallel runtime (MinCutConfig::threads).
+  // connectivity instances on the parallel runtime (MinCutConfig::connectivity.threads).
   // The simulated ledger is thread-invariant; only the wall-clock of the
   // simulation changes (requires actual cores to show > 1x).
   std::printf("\nruntime thread scaling, dumbbell(n=4096, lambda=8), k=16:\n");
@@ -77,7 +77,7 @@ int main() {
               const DistributedGraph dg(g, VertexPartition::random(big_n, 16, 65));
               MinCutConfig cfg;
               cfg.seed = 67;
-              cfg.threads = threads;
+              cfg.connectivity.threads = threads;
               return time_stats([&] { return approximate_min_cut(cluster, dg, cfg); },
                                 [](const auto& r) { return r.levels.size(); });
             })) {

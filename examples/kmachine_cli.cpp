@@ -802,8 +802,8 @@ int main(int argc, char** argv) {
   } else if (opt.algo == "mincut") {
     MinCutConfig mcfg;
     mcfg.seed = acfg.seed;
-    mcfg.threads = opt.threads;
-    mcfg.obs = obs.sink();
+    mcfg.connectivity.threads = opt.threads;
+    mcfg.connectivity.obs = obs.sink();
     const auto res = approximate_min_cut(cluster, dg, mcfg);
     std::printf("estimate=%llu disconnect_level=%d connected=%s\n",
                 static_cast<unsigned long long>(res.estimate), res.disconnect_level,

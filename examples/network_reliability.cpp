@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
     const DistributedGraph dg(g, VertexPartition::random(n, k, split(19, trunks)));
     MinCutConfig config;
     config.seed = split(23, trunks);
-    config.threads = threads;
-    if (trunks == observed_trunks) config.obs = obs.sink();
+    config.connectivity.threads = threads;
+    if (trunks == observed_trunks) config.connectivity.obs = obs.sink();
     const auto result = approximate_min_cut(cluster, dg, config);
 
     std::printf("%8zu %10llu %10llu %8.2f %10llu %12llu\n", trunks,

@@ -34,66 +34,21 @@ Cluster::Cluster(ClusterConfig config) : config_(config) {
   inboxes_.resize(config_.k);
   stats_.sent_bits_by_machine.assign(config_.k, 0);
   stats_.received_bits_by_machine.assign(config_.k, 0);
-  // link_bits_ (dense k*k, sequential path only) is allocated lazily on the
-  // first deliver_pending(); the direct plane's partials are sparse rows.
-  inbox_counts_.assign(config_.k, 0);
-  inbox_arenas_.resize(config_.k);
+  delivered_arenas_.resize(config_.k);
   delivery_partials_.resize(config_.k);
 }
 
-void Cluster::send(MachineId src, MachineId dst, std::uint32_t tag,
-                   std::span<const std::uint64_t> payload, std::uint64_t bits) {
-  KMM_CHECK(src < config_.k && dst < config_.k);
-  outbox_.push_back(Message::make(src, dst, tag, payload, bits, pending_arena_));
-}
-
-void Cluster::enqueue_batch(std::vector<Message>&& batch) {
-  // Geometric growth rather than an exact reserve: the runtime's fallback
-  // path merges up to k*k buckets per superstep, and an exact reserve per
-  // batch would reallocate-and-copy the accumulated outbox on each one.
-  const std::size_t needed = outbox_.size() + batch.size();
-  if (outbox_.capacity() < needed) {
-    outbox_.reserve(std::max(needed, 2 * outbox_.capacity()));
-  }
-  for (auto& msg : batch) {
-    // The Outbox already validated src/dst at send time; re-checking every
-    // message here would put a full extra pass on the merge hot path, so
-    // the revalidation is debug-only.
-    KMM_DCHECK(msg.src < config_.k && msg.dst < config_.k);
-    // Spilled payloads are copied (not chunk-spliced) out of the shard
-    // arena: donating chunks would leave the shards re-allocating fresh
-    // ones every superstep unless a cross-thread chunk pool cycled them
-    // back. A bounded memcpy of the rare >4-word payloads keeps both sides
-    // allocation-free in steady state, which is the property that matters.
-    msg.reintern(pending_arena_);
-    outbox_.push_back(msg);
-  }
-  batch.clear();
-}
-
-std::uint64_t Cluster::superstep() {
-  for (auto& inbox : inboxes_) inbox.clear();  // capacity retained
-  // Last superstep's payload generation is dead now that the inboxes are
-  // cleared; recycle it and promote the pending generation (chunk memory is
-  // stable, so spilled-payload pointers survive the swap). Inbox arenas may
-  // hold the previous (direct) delivery's spilled payloads — equally dead.
-  live_arena_.reset();
-  std::swap(live_arena_, pending_arena_);
-  for (auto& arena : inbox_arenas_) arena.reset();
-  if (outbox_.empty()) return 0;
-  return deliver_pending();
-}
-
 void Cluster::deliver_shards_begin(std::span<OutboxShard> shards) {
-  KMM_CHECK_MSG(outbox_.empty(),
-                "direct delivery requires no staged sequential sends (see has_staged)");
   KMM_CHECK(shards.size() == config_.k);
-  // Same generation handover as superstep(): the last superstep's pending
-  // payloads are dead once every inbox has been cleared by its delivery
-  // task below (nothing was staged, so pending_arena_ is empty and the swap
-  // only recycles the live generation).
-  live_arena_.reset();
-  std::swap(live_arena_, pending_arena_);
+  // The payloads of the inboxes this delivery replaces are dead: recycle
+  // their arenas and hand them to the shards in exchange for the arenas
+  // holding this step's payloads, which stay put (chunk memory is stable
+  // across the swap, so no Message pointer moves).
+  for (MachineId src = 0; src < config_.k; ++src) {
+    delivered_arenas_[src].reset();
+    std::swap(delivered_arenas_[src], shards[src].arena);
+  }
+  injected_arena_.reset();
   delivery_shards_ = shards;
 }
 
@@ -101,8 +56,7 @@ void Cluster::deliver_shard_to(MachineId dst) {
   const MachineId k = config_.k;
   KMM_DCHECK(dst < k && delivery_shards_.size() == k);
   auto& inbox = inboxes_[dst];
-  inbox.clear();               // capacity retained
-  inbox_arenas_[dst].reset();  // previous generation's spilled payloads are dead
+  inbox.clear();  // capacity retained
   auto& partial = delivery_partials_[dst];
   partial.link_bits.clear();  // capacity retained
   partial.cross = 0;
@@ -121,10 +75,6 @@ void Cluster::deliver_shard_to(MachineId dst) {
     std::uint64_t src_bits = 0;
     for (auto& msg : bucket) {
       KMM_DCHECK(msg.src == src && msg.dst == dst);
-      // Re-home spilled payloads into this inbox's arena: payload lifetime
-      // becomes inbox lifetime, and the shard arena is free for reuse as
-      // soon as the step's delivery ends.
-      msg.reintern(inbox_arenas_[dst]);
       if (src == dst) {
         ++local;
       } else {
@@ -178,11 +128,9 @@ std::uint64_t Cluster::deliver_shards_finish() {
   // Hierarchical ledger reduction: leaf d summarizes destination d's sparse
   // row (its per-source sent list is already ascending), then the k leaves
   // are folded pairwise into one root. Every folded quantity is an unsigned
-  // sum or maximum of exactly the per-link values the sequential pass
-  // accumulates message-by-message, so the tree order — like any fold order
-  // — reproduces the sequential ledger bit-for-bit. Footprint is
-  // O(touched links) for any k; the dense k*k table exists only on the
-  // sequential path.
+  // sum or maximum of per-link values, so the tree order — like any fold
+  // order — reproduces the per-message ledger bit-for-bit. Footprint is
+  // O(touched links) for any k.
   fold_nodes_.resize(k);  // inner capacity retained across supersteps
   for (MachineId d = 0; d < k; ++d) {
     auto& leaf = fold_nodes_[d];
@@ -227,62 +175,6 @@ std::uint64_t Cluster::deliver_shards_finish() {
   return rounds;
 }
 
-std::uint64_t Cluster::deliver_pending() {
-  const MachineId k = config_.k;
-  // First sequential delivery on this cluster: allocate the dense link
-  // table now. Runtime-driven workloads that always use the direct plane
-  // never reach this line, so they never hold k*k ledger state.
-  if (link_bits_.empty()) {
-    link_bits_.assign(static_cast<std::size_t>(k) * k, 0);
-  }
-
-  // Count-then-bucket: size every inbox exactly before routing, so inbox
-  // growth never reallocates mid-delivery and a warm cluster delivers an
-  // entire superstep without touching the allocator.
-  std::fill(inbox_counts_.begin(), inbox_counts_.end(), 0);
-  for (const auto& msg : outbox_) ++inbox_counts_[msg.dst];
-  for (MachineId m = 0; m < k; ++m) {
-    if (inbox_counts_[m] > 0) inboxes_[m].reserve(inbox_counts_[m]);
-  }
-
-  for (const auto& msg : outbox_) {
-    if (msg.src == msg.dst) {
-      ++stats_.local_messages;
-      inboxes_[msg.dst].push_back(msg);
-      continue;
-    }
-    const std::uint64_t bits = msg.wire_bits();
-    const std::uint64_t link = static_cast<std::uint64_t>(msg.src) * k + msg.dst;
-    if (link_bits_[link] == 0) touched_links_.push_back(link);  // bits >= header > 0
-    link_bits_[link] += bits;
-    if (!cut_side_.empty() && cut_side_[msg.src] != cut_side_[msg.dst]) {
-      stats_.cut_bits += bits;
-    }
-    stats_.total_bits += bits;
-    stats_.sent_bits_by_machine[msg.src] += bits;
-    stats_.received_bits_by_machine[msg.dst] += bits;
-    ++stats_.messages;
-    inboxes_[msg.dst].push_back(msg);
-  }
-  outbox_.clear();
-
-  std::uint64_t max_load = 0;
-  for (const std::uint64_t link : touched_links_) {
-    max_load = std::max(max_load, link_bits_[link]);
-    link_bits_[link] = 0;  // restore the all-zero invariant for next delivery
-  }
-  touched_links_.clear();
-
-  const std::uint64_t rounds =
-      max_load == 0 ? 0 : (max_load + config_.bandwidth_bits - 1) / config_.bandwidth_bits;
-  stats_.rounds += rounds;
-  ++stats_.supersteps;
-  stats_.max_link_bits = std::max(stats_.max_link_bits, max_load);
-  stats_.last_superstep_link_bits = max_load;
-  if (max_load > 0) stats_.superstep_link_max.add(static_cast<double>(max_load));
-  return rounds;
-}
-
 std::span<const Message> Cluster::inbox(MachineId m) const {
   KMM_CHECK(m < config_.k);
   return inboxes_[m];
@@ -296,10 +188,10 @@ void Cluster::clear_inbox(MachineId m) {
 void Cluster::inject_inbox(MachineId m, const Message& msg) {
   KMM_CHECK(m < config_.k && msg.dst == m);
   Message copy = msg;
-  // Inbox lifetime for the payload: inbox_arenas_[m] is reset by the next
-  // delivery to m (direct plane) or the next superstep() — the same instant
-  // inboxes_[m] is cleared, so the copy can never outlive its words.
-  copy.reintern(inbox_arenas_[m]);
+  // Inbox lifetime for the payload: injected_arena_ is reset by the next
+  // delivery, which clears every inbox, so the copy can never outlive its
+  // words.
+  copy.reintern(injected_arena_);
   inboxes_[m].push_back(copy);
 }
 

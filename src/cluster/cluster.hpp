@@ -7,9 +7,10 @@
 // bidirectional link is two independent directions, a constant-factor
 // convention). Local computation is free.
 //
-// Algorithms run as a sequence of *supersteps*: every machine reads its
-// inbox, computes, and enqueues messages; `superstep()` then delivers
-// everything and charges
+// Algorithms run as a sequence of *supersteps* driven by the src/runtime/
+// Runtime: every machine reads its inbox, computes, and sends into its own
+// per-source OutboxShard; the Runtime then delivers the shards through this
+// class and charges
 //
 //     rounds = max over directed links  ceil(bits_on_link / bandwidth_bits)
 //
@@ -21,19 +22,16 @@
 // per-link maxima, per-machine traffic) — the measurements every bench_*
 // binary and the perfbench workloads (perfbench/README.md) are built on.
 //
-// Execution paths: algorithms either send() directly (sequential; staged
-// sends are delivered and accounted by deliver_pending() in one ordered
-// pass) or run on the src/runtime/ parallel engine, whose per-source shards
-// are delivered through the direct per-destination plane
+// There is one delivery path, the per-destination plane
 // (deliver_shards_begin / deliver_shard_to / deliver_shards_finish): k
-// concurrent tasks move each destination's buckets straight into its inbox
-// and the ledger partials are reduced in ascending link order afterwards.
-// The two paths share the same accounting rules over the same per-link
-// quantities, so the ledger is by construction bit-identical however the
-// local computation was scheduled — tests/test_golden_stats.cpp pins it.
+// tasks — concurrent on a pool, or inline on one thread — move each
+// destination's buckets straight into its inbox, and the ledger partials
+// are reduced in ascending link order afterwards. Every reduced quantity is
+// an unsigned sum or maximum of per-link values, so the ledger is
+// bit-identical however the tasks were scheduled —
+// tests/test_golden_stats.cpp pins it.
 
 #include <cstdint>
-#include <initializer_list>
 #include <span>
 #include <utility>
 #include <vector>
@@ -56,13 +54,13 @@ struct ClusterConfig {
   static ClusterConfig for_graph(std::size_t n, MachineId k);
 };
 
-/// One machine's private send buffer in sharded (parallel runtime) mode:
-/// per-destination message buckets plus the arena backing spilled payloads.
+/// One machine's private send buffer for one superstep: per-destination
+/// message buckets plus the arena backing spilled payloads.
 /// Bucketing by destination at send time is what lets the delivery plane
 /// run as k independent per-destination tasks that move messages without
 /// scanning: destination d's task walks buckets[d] of every shard in
-/// ascending source order, which reproduces the sequential global send
-/// order as seen by inbox d exactly. clear() retains the capacity of every
+/// ascending source order, so inbox d's order is (source, send order)
+/// however the handlers were scheduled. clear() retains the capacity of every
 /// bucket and the arena, so a warm shard absorbs a whole superstep without
 /// allocating.
 struct OutboxShard {
@@ -79,7 +77,7 @@ struct OutboxShard {
 
 struct ClusterStats {
   std::uint64_t rounds = 0;           // total rounds charged
-  std::uint64_t supersteps = 0;       // number of superstep() calls that sent data
+  std::uint64_t supersteps = 0;       // number of deliveries that moved a message
   std::uint64_t messages = 0;         // cross-machine messages delivered
   std::uint64_t local_messages = 0;   // self-addressed (free) messages
   std::uint64_t total_bits = 0;       // cross-machine wire bits
@@ -103,54 +101,24 @@ class Cluster {
   [[nodiscard]] MachineId k() const noexcept { return config_.k; }
   [[nodiscard]] std::uint64_t bandwidth_bits() const noexcept { return config_.bandwidth_bits; }
 
-  /// Enqueue a message for the next superstep. The payload is copied —
-  /// inline into the Message when it fits, into the pending arena otherwise
-  /// — so the caller's buffer may be reused immediately.
-  void send(MachineId src, MachineId dst, std::uint32_t tag,
-            std::span<const std::uint64_t> payload, std::uint64_t bits = 0);
-  void send(MachineId src, MachineId dst, std::uint32_t tag,
-            std::initializer_list<std::uint64_t> payload, std::uint64_t bits = 0) {
-    send(src, dst, tag, std::span<const std::uint64_t>(payload.begin(), payload.size()),
-         bits);
-  }
-
-  /// Move a pre-ordered batch of messages into the pending outbox —
-  /// equivalent to send() per message in batch order. Used by the parallel
-  /// Runtime to merge per-source outbox shards after the superstep barrier;
-  /// the batch is left empty (capacity retained for reuse). Spilled payloads
-  /// are re-homed from the shard's arena into the cluster's pending arena,
-  /// so the shard may be recycled as soon as the call returns.
-  void enqueue_batch(std::vector<Message>&& batch);
-
-  /// Deliver all enqueued messages; charge rounds; returns rounds charged.
-  /// After the call, inbox(m) holds machine m's received messages (in
-  /// deterministic send order) until the next superstep.
-  std::uint64_t superstep();
-
-  /// True when send() / enqueue_batch() messages are staged for the next
-  /// superstep(). The direct delivery plane below requires an empty staging
-  /// outbox; the Runtime falls back to the merge path when this holds.
-  [[nodiscard]] bool has_staged() const noexcept { return !outbox_.empty(); }
-
-  /// Direct shard->inbox delivery plane (the parallel path). Protocol:
+  /// Shard->inbox delivery, the only way messages reach an inbox. Protocol:
   ///   deliver_shards_begin(shards)   caller thread, after the handler
   ///                                  barrier; shards[s] holds machine s's
   ///                                  sends bucketed by destination;
   ///   deliver_shard_to(d)            once per destination — safe to run
   ///                                  the k calls concurrently (each task
-  ///                                  touches only destination-d state and
-  ///                                  the k*k link table's column d);
+  ///                                  touches only destination-d state,
+  ///                                  including its own ledger row);
   ///   deliver_shards_finish()        caller thread, after all per-
   ///                                  destination tasks completed; tree-
   ///                                  folds the per-destination ledger
   ///                                  partials pairwise and returns the
   ///                                  rounds charged.
-  /// Observationally identical — inbox contents, inbox order, and the full
-  /// ClusterStats ledger bit-for-bit — to enqueue_batch() per shard in
-  /// ascending source order followed by superstep(): every reduced quantity
-  /// is an unsigned sum or maximum of exactly the per-link values the
-  /// sequential pass accumulates message-by-message, so the hierarchical
-  /// fold order cannot change any ledger bit.
+  /// Inbox contents, inbox order and the full ClusterStats ledger do not
+  /// depend on how the k tasks were scheduled: every reduced quantity is an
+  /// unsigned sum or maximum of per-link values, so the hierarchical fold
+  /// order cannot change any ledger bit. After finish(), inbox(m) holds
+  /// machine m's received messages until the next delivery.
   void deliver_shards_begin(std::span<OutboxShard> shards);
   void deliver_shard_to(MachineId dst);
   std::uint64_t deliver_shards_finish();
@@ -161,8 +129,9 @@ class Cluster {
   /// crash loses) and re-inject a retransmitted message into it. Injection
   /// is ledger-free — the bits were already charged when the message was
   /// delivered; the plane accounts the retransmission analytically via
-  /// charge_rounds(). The payload is re-homed into the inbox's arena, so
-  /// the injected message lives exactly as long as the inbox it sits in.
+  /// charge_rounds(). The payload is copied into an arena recycled by the
+  /// next delivery, so the injected message lives exactly as long as the
+  /// inbox it sits in.
   void clear_inbox(MachineId m);
   void inject_inbox(MachineId m, const Message& msg);
 
@@ -191,40 +160,17 @@ class Cluster {
   }
 
  private:
-  /// The sequential delivery/accounting pass: routes every staged message
-  /// to its inbox and updates the full ledger in one ordered scan. The
-  /// send() path and the runtime's enqueue_batch() fallback terminate here;
-  /// the direct plane above implements the same rules destination-parallel.
-  std::uint64_t deliver_pending();
-
   ClusterConfig config_;
-  std::vector<Message> outbox_;                 // pending, in send order
   std::vector<std::vector<Message>> inboxes_;   // per machine, current superstep
   std::vector<std::uint8_t> cut_side_;          // empty = no cut tracked
   ClusterStats stats_;
 
-  // Double-buffered payload storage: sends spill into pending_arena_;
-  // superstep() recycles live_arena_ (last superstep's inbox payloads) and
-  // swaps, so delivered payloads stay valid exactly as long as the inbox
-  // they sit in. Chunk memory is stable across the swap, so no Message
-  // pointer is disturbed.
-  PayloadArena pending_arena_;
-  PayloadArena live_arena_;
-
-  // Flat k*k per-directed-link load table plus first-touch list, used only
-  // by the sequential deliver_pending() path and allocated LAZILY on its
-  // first use — runtime-driven workloads that always take the direct plane
-  // never pay the dense table. Entries are zeroed again after every
-  // delivery, so the steady state allocates nothing and max-load scanning
-  // is deterministic (first-touch order).
-  std::vector<std::uint64_t> link_bits_;
-  std::vector<std::uint64_t> touched_links_;
-  std::vector<std::uint32_t> inbox_counts_;  // per-destination count scratch
-
-  // Direct delivery plane state. Each inbox owns an arena for the spilled
-  // payloads delivered to it: destination d's task re-homes shard-arena
-  // payloads into inbox_arenas_[d], so payload lifetime equals inbox
-  // lifetime and the shards are reusable the moment delivery ends.
+  // Delivery plane state. Spilled payloads are never copied on delivery:
+  // deliver_shards_begin swaps each shard's arena with delivered_arenas_[src]
+  // (reset first — its payloads sat in the inboxes being replaced), so a
+  // delivered payload stays where its handler wrote it, lives exactly as
+  // long as the inbox it sits in, and the shard gets a warm empty arena
+  // back. Arenas only trade owners, so the steady state allocates nothing.
   //
   // Ledger partials are SPARSE per-destination rows rather than a dense
   // dst-major k*k table: destination d's task appends one (src, bits) pair
@@ -236,7 +182,7 @@ class Cluster {
   // (fold_nodes_ holds the current level; merges combine scalar aggregates
   // and merge the ascending per-source sent lists): every folded quantity
   // is a commutative unsigned sum or maximum, so the tree order reproduces
-  // the sequential ledger bit-for-bit. All buffers retain capacity — a warm
+  // the per-message ledger bit-for-bit. All buffers retain capacity — a warm
   // cluster finishes a superstep without allocating.
   struct DeliveryPartial {
     std::vector<std::pair<MachineId, std::uint64_t>> link_bits;  // ascending src
@@ -254,7 +200,8 @@ class Cluster {
   void fold_merge(LedgerFold& into, LedgerFold& from);
 
   std::span<OutboxShard> delivery_shards_;       // valid between begin/finish
-  std::vector<PayloadArena> inbox_arenas_;       // one per destination
+  std::vector<PayloadArena> delivered_arenas_;   // one per source: live inbox payloads
+  PayloadArena injected_arena_;                  // payloads of inject_inbox() copies
   std::vector<DeliveryPartial> delivery_partials_;  // one sparse row per destination
   std::vector<LedgerFold> fold_nodes_;           // tree-fold working set (k leaves)
   std::vector<std::pair<MachineId, std::uint64_t>> fold_merge_tmp_;

@@ -80,8 +80,8 @@ struct Message {
   }
 
   /// Re-home a spilled payload into `arena` (no-op for inline payloads).
-  /// Used when a message migrates between arena generations — e.g. from a
-  /// Runtime shard arena into the Cluster's pending arena at batch merge.
+  /// Used when a message must outlive its arena generation — e.g. a copy
+  /// kept in the fault plane's replay log or re-injected into an inbox.
   void reintern(PayloadArena& arena) {
     if (words_ > kInlinePayloadWords) {
       external_ = arena.intern({external_, words_}).data();

@@ -4,9 +4,10 @@
 // Chunked so allocation never moves existing data: alloc() hands out stable
 // pointers valid until the next reset(), and reset() rewinds to the start
 // while keeping every chunk's memory, so a warm arena allocates nothing in
-// steady state. One generation of an arena backs one superstep's worth of
-// spilled payloads; the Cluster keeps two (pending / live) and swaps them
-// per superstep, the Runtime keeps one per outbox shard.
+// steady state. One generation of an arena backs one machine's spilled
+// payloads for one superstep: the Runtime's outbox shard fills it, and the
+// Cluster's delivery swaps it for the arena that held the previous
+// delivery's payloads.
 
 #include <algorithm>
 #include <cstddef>

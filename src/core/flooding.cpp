@@ -17,8 +17,12 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   const StatsScope scope(cluster);
   const std::size_t n = dg.num_vertices();
   const MachineId k = cluster.k();
-  const std::uint64_t max_supersteps =
-      config.max_supersteps != 0 ? config.max_supersteps : n + 1;
+  // The smallest label crosses one boundary hop per iteration, so n + 1
+  // iterations suffice. Injected corruption can hand a vertex a fresh
+  // smaller in-range label at any iteration; every iteration but the last
+  // still lowers some label in [0, n), which bounds that case by the sum of
+  // the initial labels. Exceeding the bound is a bug, not slow convergence.
+  const std::uint64_t max_iterations = config.fault == nullptr ? n + 1 : n * (n - 1) / 2 + 1;
   Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
                                     config.pool});
 
@@ -63,7 +67,7 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   });
 
   for (std::uint64_t step = 0;; ++step) {
-    KMM_CHECK_MSG(step <= max_supersteps, "flooding failed to converge");
+    KMM_CHECK_MSG(step <= max_iterations, "flooding failed to converge");
     // Boundary exchange: per machine, send the best candidate label per
     // remote target vertex among changed local vertices.
     rt.step([&](MachineId i, std::span<const Message>, Outbox& out) {
@@ -92,13 +96,6 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   }
   result.stats = scope.snapshot();
   return result;
-}
-
-FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& dg,
-                                     std::uint64_t max_supersteps) {
-  FloodingConfig config;
-  config.max_supersteps = max_supersteps;
-  return flooding_connectivity(cluster, dg, config);
 }
 
 }  // namespace kmm

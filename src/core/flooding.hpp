@@ -28,10 +28,6 @@ namespace kmm {
 class FaultPlane;
 
 struct FloodingConfig {
-  /// Caps the boundary-exchange iteration count (0 = n+1, always
-  /// sufficient: the smallest label needs at most one superstep per
-  /// boundary hop).
-  std::uint64_t max_supersteps = 0;
   /// Worker threads for per-machine local computation (1 = sequential,
   /// 0 = hardware concurrency; clamped to k). Results and the cluster
   /// ledger are identical for every value.
@@ -62,10 +58,5 @@ struct FloodingResult {
 [[nodiscard]] FloodingResult flooding_connectivity(Cluster& cluster,
                                                    const DistributedGraph& dg,
                                                    const FloodingConfig& config = {});
-
-/// Back-compat shim for callers that only cap the iteration count.
-[[nodiscard]] FloodingResult flooding_connectivity(Cluster& cluster,
-                                                   const DistributedGraph& dg,
-                                                   std::uint64_t max_supersteps);
 
 }  // namespace kmm

@@ -18,10 +18,6 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
   {
     BoruvkaConfig conn = config.connectivity;
     conn.seed = split(config.seed, 0);
-    conn.threads = config.threads;
-    conn.obs = config.obs;
-    conn.cancel = config.cancel;
-    conn.pool = config.pool;
     const auto base = connected_components(cluster, dg, conn);
     result.graph_connected = base.num_components <= 1;
   }
@@ -55,10 +51,6 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
       const DistributedGraph sampled_dg(sampled, dg.partition());
       BoruvkaConfig conn = config.connectivity;
       conn.seed = split3(config.seed, 0x515, trial_seed);
-      conn.threads = config.threads;
-      conn.obs = config.obs;
-      conn.cancel = config.cancel;
-      conn.pool = config.pool;
       const auto res = connected_components(cluster, sampled_dg, conn);
       if (res.num_components > 1) ++trace.disconnected_trials;
     }

@@ -21,22 +21,12 @@ struct MinCutConfig {
   std::uint64_t seed = 7;
   int trials_per_level = 3;
   int max_levels = 0;  // 0 => ceil(log2 m) + 2
-  BoruvkaConfig connectivity;  // settings for the inner connectivity runs
-  /// Worker threads for every inner connectivity run (overrides
-  /// connectivity.threads; 1 = sequential, 0 = hardware concurrency,
-  /// clamped to k). Results and the ledger are thread-invariant.
-  unsigned threads = 1;
-  /// Optional observability sinks, forwarded into every inner connectivity
-  /// run (overrides connectivity.obs). One timeline attached here sees the
-  /// whole level sweep as consecutive rows on one cluster ledger.
-  const ObsSink* obs = nullptr;
-  /// Optional cooperative cancellation point, forwarded into every inner
-  /// connectivity run (overrides connectivity.cancel); one budget covers
-  /// the whole level sweep. Null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool, forwarded into every inner connectivity
-  /// run (overrides connectivity.pool); null = private pools.
-  ThreadPool* pool = nullptr;
+  /// Settings for every inner connectivity run, used as given except for
+  /// the per-run seed. Its runtime knobs (threads, obs, cancel, pool) thus
+  /// cover the whole level sweep: one timeline sees the sweep as
+  /// consecutive rows on one cluster ledger, and one cancellation budget
+  /// bounds it.
+  BoruvkaConfig connectivity;
 };
 
 struct MinCutLevelTrace {

@@ -2,12 +2,12 @@
 // Process-wide accumulated wall time of the three superstep phases.
 //
 // Every Runtime::step() adds its phase durations here:
-//   handler — per-machine local computation (the parallel_for, or the
-//             sequential machine loop on the threads=1 path);
-//   deliver — moving messages into inboxes (the parallel per-destination
-//             shard scan, or Cluster::superstep() on the sequential path);
+//   handler — per-machine local computation (on the pool, or in machine
+//             order on the calling thread for inline steps);
+//   deliver — moving messages into inboxes (the k per-destination
+//             deliver_shard_to tasks);
 //   reduce  — folding the per-destination ledger partials into ClusterStats
-//             (zero on the sequential path, whose delivery accounts inline).
+//             (deliver_shards_finish).
 //
 // This is the *compatibility shim* over the observability plane: the
 // Runtime measures each phase exactly once per step and feeds the same

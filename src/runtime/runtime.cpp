@@ -50,13 +50,8 @@ Runtime::Runtime(Cluster& cluster, RuntimeConfig config)
       pool_ = owned_pool_.get();
     }
   }
-  // Shards exist whenever any step can run sharded: multi-threaded steps,
-  // or any step under an attached fault plane (transit emulation intercepts
-  // the shard buckets between the handler barrier and delivery).
-  if (threads_ > 1 || fault_ != nullptr) {
-    shards_.resize(cluster_->k());
-    for (auto& shard : shards_) shard.resize(cluster_->k());
-  }
+  shards_.resize(cluster_->k());
+  for (auto& shard : shards_) shard.resize(cluster_->k());
 }
 
 Runtime::~Runtime() = default;
@@ -110,31 +105,11 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
   }
   const std::uint64_t t0 = tick();
   const bool parallel = pool_ != nullptr && mode != StepMode::kInline;
-  if (fault_ == nullptr && !parallel) {
-    // Sequential path: handlers write directly into the cluster outbox in
-    // machine order — the legacy "for each machine, compute and send" loop.
-    for (MachineId i = 0; i < k; ++i) {
-      const std::uint64_t hb = tr != nullptr ? tr->now_ns() : 0;
-      Outbox out(*cluster_, i);
-      program.on_superstep(i, cluster_->inbox(i), out);
-      if (tr != nullptr) {
-        tr->record(ThreadPool::current_lane(), SpanKind::kHandler, step_ordinal_, i, hb,
-                   tr->now_ns());
-      }
-    }
-    const std::uint64_t t1 = tick();
-    const std::uint64_t rounds = cluster_->superstep();
-    const std::uint64_t t2 = tick();
-    if (tr != nullptr) tr->record(0, SpanKind::kDeliver, step_ordinal_, 0, t1, t2);
-    return finish_step(mode, elapsed_ns(t0, t1), elapsed_ns(t1, t2), 0, t0, rounds);
-  }
-  // Sharded path: every handler owns shard i; inboxes are read-only until
-  // the barrier, after which the k per-destination delivery tasks move the
-  // buckets straight into their inboxes — one move per message, no staging
-  // outbox — and the finish call reduces the ledger partials. An attached
-  // fault plane forces this path even for sequential/kInline steps (the
-  // modes are observationally identical) so link-fault emulation can
-  // intercept the buckets between the handler barrier and delivery.
+  // Every handler owns shard i; inboxes are read-only until the handlers
+  // finish, after which the k per-destination delivery tasks move the
+  // buckets straight into their inboxes — one move per message — and the
+  // finish call reduces the ledger partials. Parallel steps run both task
+  // sets on the pool; inline steps run them in machine order on this thread.
   const std::uint64_t deadline_ns =
       fault_ != nullptr ? fault_->handler_deadline_ns() : 0;
   const auto run_handler = [&](std::size_t i) {
@@ -161,23 +136,6 @@ std::uint64_t Runtime::step(MachineProgram& program, StepMode mode) {
     for (MachineId i = 0; i < k; ++i) run_handler(i);
   }
   const std::uint64_t t1 = tick();
-  if (cluster_->has_staged()) {
-    // Rare fallback: direct Cluster::send() calls were staged between
-    // steps. Merge the shards behind them in (source, destination) order —
-    // per-inbox order equals the sequential path's — and deliver through
-    // the legacy single-pass accounting. Link-fault emulation is skipped
-    // here: staged sends bypass the shard plane, so fault schedules are
-    // only honored on the direct delivery path (all src/core/ algorithms).
-    for (MachineId src = 0; src < k; ++src) {
-      for (MachineId dst = 0; dst < k; ++dst) {
-        cluster_->enqueue_batch(std::move(shards_[src].buckets[dst]));
-      }
-    }
-    const std::uint64_t rounds = cluster_->superstep();
-    const std::uint64_t t2 = tick();
-    if (tr != nullptr) tr->record(0, SpanKind::kDeliver, step_ordinal_, 0, t1, t2);
-    return finish_step(mode, elapsed_ns(t0, t1), elapsed_ns(t1, t2), 0, t0, rounds);
-  }
   if (fault_ != nullptr) {
     // Transit emulation: drops/duplicates burn bandwidth, reorders shuffle
     // within a link, corruptions flip payload bits — then the retransmit

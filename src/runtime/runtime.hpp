@@ -1,52 +1,48 @@
 #pragma once
 // Thread-parallel superstep driver for the k-machine simulator.
 //
-// The sequential Cluster charges rounds by the most-loaded link, but
-// executing all k machines' local computation on one thread makes wall-clock
-// time scale with *total* work. The Runtime closes that gap twice over: it
-// runs the k per-machine handlers of a superstep on a worker pool, each
-// writing to a private per-source outbox shard bucketed by destination, then
-// — after a barrier — delivers the shards through the Cluster's direct
-// per-destination delivery plane (deliver_shards_begin / deliver_shard_to /
+// The Cluster charges rounds by the most-loaded link, but executing all k
+// machines' local computation on one thread makes wall-clock time scale
+// with *total* work. The Runtime closes that gap twice over: it runs the k
+// per-machine handlers of a superstep on a worker pool, each writing to a
+// private per-source outbox shard bucketed by destination, then — after a
+// barrier — delivers the shards through the Cluster's per-destination
+// delivery plane (deliver_shards_begin / deliver_shard_to /
 // deliver_shards_finish): k independent delivery tasks, one per destination,
 // each moving its buckets straight into its inbox, with the ledger reduced
 // deterministically afterwards. Both halves of the superstep — compute and
-// delivery — parallelize.
+// delivery — parallelize. Every step takes this one path; a step without a
+// pool (threads = 1, or StepMode::kInline) runs the same handler and
+// delivery tasks in machine order on the calling thread.
 //
 // Invariant (tested by tests/test_runtime.cpp and tests/test_delivery.cpp):
 // the ClusterStats ledger — rounds, supersteps, messages, bits, per-link
 // maxima, per-machine traffic, cut bits — is bit-identical for every thread
-// count, including the sequential threads=1 path, because
+// count, including threads=1, because
 //   * destination d's delivery task walks the shards' d-buckets in
-//     ascending source order (per-machine send order preserved), which is
-//     exactly the sequential global send order projected onto inbox d, and
+//     ascending source order (per-machine send order preserved), so inbox
+//     d's order is (source, send order) however the handlers interleaved,
+//     and
 //   * the ledger reduction tree-folds the sparse per-destination link
 //     partials pairwise, and every reduced quantity is an unsigned sum or
-//     maximum of the same per-link values the sequential pass accumulates
-//     message-by-message — so the hierarchical fold order cannot change a
-//     ledger bit (see cluster.hpp for the delivery contract).
+//     maximum of per-link values — so the fold order cannot change a ledger
+//     bit (see cluster.hpp for the delivery contract).
 //
-// threads semantics: 1 = sequential in-line execution (no pool, handlers
-// write directly into the cluster outbox); 0 = hardware concurrency; any
-// value is clamped to k (more workers than machines cannot help).
+// threads semantics: 1 = no pool, every step runs its handler and delivery
+// tasks inline on the calling thread; 0 = hardware concurrency; any value is
+// clamped to k (more workers than machines cannot help).
 //
 // ---------------------------------------------------------------------------
 // Porting recipe: Cluster loop -> SuperstepFn
 //
-// Every algorithm in src/core/ used to be written as the classic sequential
-// pattern
-//
-//     for (MachineId i = 0; i < k; ++i) { ...compute for i...; cluster.send(i, ...); }
-//     cluster.superstep();
-//     for (MachineId i = 0; i < k; ++i) { ...read cluster.inbox(i)...; }
-//
-// The mechanical transformation (flooding_connectivity is the worked
-// example) is:
+// An algorithm written as the classic round loop — for each machine:
+// compute and send; deliver; for each machine: read the inbox — maps onto
+// the Runtime mechanically (flooding_connectivity is the worked example):
 //
 //   1. Each "for each machine: compute + send" loop body becomes one
 //      SuperstepFn handler: rt.step([&](MachineId i, inbox, out) {...}).
-//      The handler sends through `out` (src is pinned to i) and the step's
-//      trailing Cluster::superstep() replaces the explicit call.
+//      The handler sends through `out` (src is pinned to i) and the step
+//      delivers everything sent once all k handlers have run.
 //   2. The "read inboxes" loop moves into the NEXT step's handler — the
 //      inbox span a handler receives is exactly what the previous step
 //      delivered to machine i. A read-only step that sends nothing is a
@@ -58,8 +54,8 @@
 //      receive path; anything genuinely cross-machine must be atomic and
 //      only read between steps (see finished_ in the Borůvka engine).
 //   4. One-word control-plane steps (OR/sum reduces, verdict broadcasts,
-//      single-machine referee solves) pass StepMode::kInline — the barrier
-//      would cost more than the handler work, and the modes are
+//      single-machine referee solves) pass StepMode::kInline — the pool
+//      dispatch would cost more than the handler work, and the modes are
 //      observationally identical anyway.
 //   5. Give the public entry point a config with a `threads` field
 //      (mirroring BoruvkaConfig::threads) and build one
@@ -72,13 +68,13 @@
 //      Message::payload() span across steps — both are recycled when the
 //      next delivery begins — and never poke another machine's inbox from
 //      a handler.
-//   7. To stay observable, route every superstep through Runtime::step and
-//      every delivery through the step's trailing superstep() — that is
-//      where the obs plane (src/obs/) hangs its hooks, so a port that obeys
-//      rules 1-6 gets per-superstep metrics rows and trace spans for free
-//      through config.obs with no code of its own. What a port must NOT
-//      do: call Cluster::superstep() directly between steps (the delivery
-//      escapes both the timeline row and the phase timers), busy-loop
+//   7. To stay observable, route every superstep through Runtime::step —
+//      the only code that sends or delivers messages, and where the obs
+//      plane (src/obs/) hangs its hooks — so a port that obeys rules 1-6
+//      gets per-superstep metrics rows and trace spans for free through
+//      config.obs with no code of its own. What a port must NOT do: drive
+//      the Cluster's deliver_shards_* protocol itself (the delivery escapes
+//      both the timeline row and the phase timers), busy-loop
 //      inside a handler waiting on cross-machine state (a handler span is
 //      assumed to be pure local compute), or hold a pointer to the obs
 //      sinks' output mid-run (rows and rings reallocate/wrap). Analytic
@@ -149,10 +145,9 @@
 //      holds only because re-execution from that boundary is
 //      deterministic in everything but thread count.
 //
-// Because the handler order in sequential mode and the shard-merge order in
-// parallel mode are both ascending machine order, a ported algorithm's sends
-// hit Cluster::superstep() in the exact order of the original loop: the
-// ledger is unchanged by the port AND thread-invariant afterwards
+// Because delivery walks the shards in ascending source order, each inbox
+// receives a ported algorithm's messages in the order of the original loop:
+// the ledger is unchanged by the port AND thread-invariant afterwards
 // (enforced repo-wide by tests/test_runtime.cpp).
 // ---------------------------------------------------------------------------
 
@@ -176,7 +171,8 @@ class FaultPlane;
 class CancelPoint;
 
 struct RuntimeConfig {
-  /// Worker threads for per-machine local computation. 1 = sequential,
+  /// Worker threads for per-machine handlers and delivery tasks. 1 = no
+  /// pool (every step runs inline on the calling thread),
   /// 0 = std::thread::hardware_concurrency(), clamped to the cluster's k.
   unsigned threads = 1;
   /// Optional observability sinks (metrics timeline / span trace recorder);
@@ -186,11 +182,10 @@ struct RuntimeConfig {
   const ObsSink* obs = nullptr;
   /// Optional fault-injection & recovery plane (src/fault/fault_plane.hpp);
   /// null (the default) is bit-identical to a build without the plane.
-  /// Borrowed like the obs sinks. When attached, every step runs through
-  /// the sharded outboxes (even sequential/kInline ones) so transit faults
-  /// can be emulated uniformly — observationally identical by the delivery
-  /// plane's contract, so a detached-vs-attached ledger only differs by the
-  /// schedule's injected faults.
+  /// Borrowed like the obs sinks. When attached, transit faults are
+  /// emulated on the shard buckets between the handlers and delivery, so a
+  /// detached-vs-attached ledger only differs by the schedule's injected
+  /// faults.
   FaultPlane* fault = nullptr;
   /// Optional cooperative cancellation point (src/serve/cancel.hpp),
   /// borrowed like the obs sinks. When attached, every step() begins with
@@ -238,15 +233,15 @@ class FnProgram final : public MachineProgram {
 
 }  // namespace detail
 
-/// Per-step execution choice. Because the sharded-merge order equals the
-/// sequential order and all accounting is shared, the two modes are
-/// observationally identical — a program may pick per step without
-/// affecting results or the ledger. kInline skips the pool dispatch and is
-/// the right call for control-plane steps (applying one-word directives,
-/// counter updates) whose handler work is far below the barrier cost.
+/// Per-step execution choice. Both modes run the same handler and delivery
+/// tasks and only differ in where they run, so they are observationally
+/// identical — a program may pick per step without affecting results or the
+/// ledger. kInline skips the pool dispatch and is the right call for
+/// control-plane steps (applying one-word directives, counter updates)
+/// whose handler work is far below the dispatch cost.
 enum class StepMode {
   kParallel,  // use the worker pool when threads > 1
-  kInline,    // always run handlers sequentially on the calling thread
+  kInline,    // always run handlers and delivery on the calling thread
 };
 
 class Runtime {
@@ -263,10 +258,10 @@ class Runtime {
   /// Effective concurrency after resolving 0 and clamping to k.
   [[nodiscard]] unsigned threads() const noexcept { return threads_; }
 
-  /// Execute one superstep of `program` across all machines (concurrently
-  /// when threads > 1 and mode is kParallel), then deliver via
-  /// Cluster::superstep(). Returns the rounds charged. A superstep in which
-  /// no handler sends is free, exactly like an empty sequential superstep.
+  /// Execute one superstep of `program` across all machines, then deliver
+  /// the shards (both concurrently when threads > 1 and mode is kParallel).
+  /// Returns the rounds charged. A superstep in which no handler sends is
+  /// free.
   std::uint64_t step(MachineProgram& program, StepMode mode = StepMode::kParallel);
 
   /// Same, with an ad-hoc handler — the porting seam for algorithms written

@@ -368,10 +368,6 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
       MinCutConfig mc;
       mc.seed = request.seed;
       mc.connectivity = base;
-      mc.threads = config_.query_threads;
-      mc.obs = obs;
-      mc.cancel = &cancel;
-      mc.pool = pool_.get();
       const MinCutResult res = approximate_min_cut(cluster, *dg_, mc);
       out.value = res.estimate;
       out.verdict = res.graph_connected;

@@ -226,7 +226,8 @@ int main() {
   }
 
   // Observability-plane steady state. Three claims, measured on the same
-  // warmed runtime loop (a charged all-to-successor ring superstep):
+  // warmed runtime loop (a charged all-to-successor ring superstep), for
+  // pooled and inline steps and for inline and arena-spilled payloads:
   //   1. sinks disabled: the obs seam adds ZERO allocations per superstep
   //      on top of the allocation-free message plane;
   //   2. sinks attached (summarized timeline, pre-reserved; warm trace
@@ -237,46 +238,58 @@ int main() {
     obs::set_alloc_count_source(&kmmbench::alloc_count);
     constexpr MachineId kMachines = 8;
     constexpr int kSteps = 64;
-    const auto ring_step = [](Runtime& rt) {
-      rt.step([](MachineId self, std::span<const Message>, Outbox& out) {
-        out.send((self + 1) % kMachines, 1, {std::uint64_t{self}}, 64);
-      });
+    const auto ring_step = [](Runtime& rt, StepMode mode, std::size_t words) {
+      rt.step(
+          [words](MachineId self, std::span<const Message>, Outbox& out) {
+            std::uint64_t payload[kInlinePayloadWords + 3];
+            for (std::size_t w = 0; w < words; ++w) payload[w] = self + w;
+            out.send((self + 1) % kMachines, 1,
+                     std::span<const std::uint64_t>(payload, words), 64);
+          },
+          mode);
     };
 
     for (const unsigned threads : {1u, 4u}) {
-      // Sinks disabled.
-      {
-        Cluster cluster(ClusterConfig{kMachines, 64});
-        Runtime rt(cluster, RuntimeConfig{threads});
-        for (int i = 0; i < 4; ++i) ring_step(rt);  // warm pool + arenas
-        const auto b0 = alloc_count();
-        for (int i = 0; i < kSteps; ++i) ring_step(rt);
-        char what[96];
-        std::snprintf(what, sizeof what,
-                      "sinks-off runtime allocations (threads=%u)", threads);
-        EXPECT_ZERO(alloc_count() - b0, what);
-      }
+      for (const StepMode mode : {StepMode::kParallel, StepMode::kInline}) {
+        for (const std::size_t words : {std::size_t{1}, kInlinePayloadWords + 3}) {
+          const char* mode_name = mode == StepMode::kInline ? "inline" : "parallel";
+          // Sinks disabled.
+          {
+            Cluster cluster(ClusterConfig{kMachines, 64});
+            Runtime rt(cluster, RuntimeConfig{threads});
+            for (int i = 0; i < 4; ++i) ring_step(rt, mode, words);  // warm pool + arenas
+            const auto b0 = alloc_count();
+            for (int i = 0; i < kSteps; ++i) ring_step(rt, mode, words);
+            char what[128];
+            std::snprintf(what, sizeof what,
+                          "sinks-off runtime allocations (threads=%u, %s, %zu words)",
+                          threads, mode_name, words);
+            EXPECT_ZERO(alloc_count() - b0, what);
+          }
 
-      // Sinks attached.
-      {
-        Cluster cluster(ClusterConfig{kMachines, 64});
-        MetricsTimelineConfig tcfg;
-        tcfg.full_traffic_steps = 0;  // summarized rows: O(top_traffic) each
-        MetricsTimeline timeline(tcfg);
-        timeline.reserve(1024, kMachines);
-        TraceRecorder trace;  // rings pre-reserved at construction
-        const ObsSink sink{&timeline, &trace};
-        Runtime rt(cluster, RuntimeConfig{threads, &sink});
-        for (int i = 0; i < 4; ++i) ring_step(rt);
-        const std::size_t warm_rows = timeline.size();
-        const auto b0 = alloc_count();
-        for (int i = 0; i < kSteps; ++i) ring_step(rt);
-        char what[96];
-        std::snprintf(what, sizeof what,
-                      "sinks-on runtime allocations (threads=%u)", threads);
-        EXPECT_ZERO(alloc_count() - b0, what);
-        for (std::size_t i = warm_rows; i < timeline.size(); ++i) {
-          EXPECT_ZERO(timeline.row(i).allocs, "timeline row alloc column");
+          // Sinks attached.
+          {
+            Cluster cluster(ClusterConfig{kMachines, 64});
+            MetricsTimelineConfig tcfg;
+            tcfg.full_traffic_steps = 0;  // summarized rows: O(top_traffic) each
+            MetricsTimeline timeline(tcfg);
+            timeline.reserve(1024, kMachines);
+            TraceRecorder trace;  // rings pre-reserved at construction
+            const ObsSink sink{&timeline, &trace};
+            Runtime rt(cluster, RuntimeConfig{threads, &sink});
+            for (int i = 0; i < 4; ++i) ring_step(rt, mode, words);
+            const std::size_t warm_rows = timeline.size();
+            const auto b0 = alloc_count();
+            for (int i = 0; i < kSteps; ++i) ring_step(rt, mode, words);
+            char what[128];
+            std::snprintf(what, sizeof what,
+                          "sinks-on runtime allocations (threads=%u, %s, %zu words)",
+                          threads, mode_name, words);
+            EXPECT_ZERO(alloc_count() - b0, what);
+            for (std::size_t i = warm_rows; i < timeline.size(); ++i) {
+              EXPECT_ZERO(timeline.row(i).allocs, "timeline row alloc column");
+            }
+          }
         }
       }
     }

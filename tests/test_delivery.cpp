@@ -128,38 +128,6 @@ TEST(DeliveryPlane, SkewedSchedulingKeepsLedgerAndInboxOrderIdentical) {
   }
 }
 
-TEST(DeliveryPlane, StagedDirectSendsFallBackToMergePath) {
-  // Messages staged via Cluster::send() between steps force the runtime
-  // off the direct plane for that superstep; the observable contract —
-  // staged messages first, then shard messages in ascending source order —
-  // must match the sequential path exactly.
-  const auto run = [](unsigned threads) {
-    Cluster cluster(ClusterConfig{.k = 4, .bandwidth_bits = 64});
-    Runtime rt(cluster, RuntimeConfig{.threads = threads});
-    cluster.send(0, 2, /*tag=*/7, {111}, 8);
-    cluster.send(1, 2, /*tag=*/7, {222}, 8);
-    rt.step([](MachineId self, std::span<const Message>, Outbox& out) {
-      out.send(2, /*tag=*/9, {static_cast<std::uint64_t>(self)}, 8);
-    });
-    std::vector<std::uint64_t> seen;
-    for (const auto& msg : cluster.inbox(2)) {
-      seen.push_back(msg.src);
-      seen.push_back(msg.tag);
-      seen.push_back(msg.payload()[0]);
-    }
-    return std::pair{std::move(seen), cluster.stats().total_bits};
-  };
-  const auto sequential = run(1);
-  const auto parallel = run(4);
-  EXPECT_EQ(parallel.first, sequential.first);
-  EXPECT_EQ(parallel.second, sequential.second);
-  // Machine 2's own send is self-addressed (local, free) but still lands in
-  // its inbox, between sources 1 and 3.
-  EXPECT_EQ(sequential.first,
-            (std::vector<std::uint64_t>{0, 7, 111, 1, 7, 222, 0, 9, 0, 1, 9, 1, 2, 9, 2, 3,
-                                        9, 3}));
-}
-
 TEST(DeliveryPlane, SpilledPayloadsStayValidForTheWholeInboxGeneration) {
   // Spilled payloads live in the destination inbox's arena after direct
   // delivery; they must survive until the NEXT delivery recycles that
@@ -192,9 +160,9 @@ TEST(DeliveryPlane, SpilledPayloadsStayValidForTheWholeInboxGeneration) {
 }
 
 TEST(DeliveryPlane, MixedDirectAndInlineStepsShareOneLedger) {
-  // Alternating StepMode::kInline (sequential staging + superstep()) and
-  // parallel (direct plane) supersteps must accumulate one coherent ledger,
-  // identical to the all-sequential run.
+  // Alternating StepMode::kInline (delivery tasks on the calling thread)
+  // and parallel (delivery tasks on the pool) supersteps must accumulate
+  // one coherent ledger, identical to the threads=1 run.
   const auto run = [](unsigned threads) {
     Cluster cluster(ClusterConfig{.k = 4, .bandwidth_bits = 64});
     Runtime rt(cluster, RuntimeConfig{.threads = threads});

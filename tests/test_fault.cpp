@@ -273,9 +273,6 @@ TEST(FaultPlane, CorruptionIsCaughtByTheRawLabelReferee) {
   const DistributedGraph dg(g, VertexPartition::random(n, k, 7));
   FloodingConfig cfg;
   cfg.fault = &plane;
-  // Corrupted labels can creep toward fixpoint in smaller decrements than
-  // honest flooding; give the loop room beyond the n+1 default.
-  cfg.max_supersteps = 1u << 20;
   const FloodingResult res = flooding_connectivity(cluster, dg, cfg);
 
   EXPECT_GT(plane.stats().corruptions, 0u);

@@ -188,7 +188,7 @@ std::vector<GoldenCase> golden_cases() {
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
       MinCutConfig cfg;
       cfg.seed = 4242;
-      cfg.threads = threads;
+      cfg.connectivity.threads = threads;
       (void)approximate_min_cut(c, dg, cfg);
       return c.stats();
     });

@@ -262,13 +262,14 @@ TEST(ObsPlane, TraceSpanCountsSequentialAndInline) {
   for (std::size_t s = 0; s < parallel_steps; ++s) ring_step(rt);
   for (std::size_t s = 0; s < inline_steps; ++s) ring_step(rt, StepMode::kInline);
 
-  // Sequential/inline path: 1 top-level span, k handler spans, 1 delivery
-  // span (the whole Cluster::superstep()), no reduce — per step.
+  // Same shape as the pooled path, run inline: 1 top-level span, k handler
+  // spans, k delivery task spans, 1 reduce span — per step.
+  const std::size_t steps = parallel_steps + inline_steps;
   EXPECT_EQ(trace.spans(SpanKind::kSuperstep), parallel_steps);
   EXPECT_EQ(trace.spans(SpanKind::kInline), inline_steps);
-  EXPECT_EQ(trace.spans(SpanKind::kHandler), (parallel_steps + inline_steps) * k);
-  EXPECT_EQ(trace.spans(SpanKind::kDeliver), parallel_steps + inline_steps);
-  EXPECT_EQ(trace.spans(SpanKind::kReduce), 0u);
+  EXPECT_EQ(trace.spans(SpanKind::kHandler), steps * k);
+  EXPECT_EQ(trace.spans(SpanKind::kDeliver), steps * k);
+  EXPECT_EQ(trace.spans(SpanKind::kReduce), steps);
 }
 
 TEST(ObsPlane, TraceRingDropsOldestBeyondCapacity) {

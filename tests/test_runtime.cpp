@@ -1,7 +1,7 @@
 // The parallel superstep runtime: thread pool, MachineProgram execution,
 // and the central invariant that results AND the full cluster ledger are
-// bit-identical for every thread count (threads ∈ {1, 2, 8}) and equal to
-// the sequential path, on path / gnm / rmat inputs.
+// bit-identical for every thread count (threads ∈ {1, 2, 8}; threads = 1
+// runs the same delivery path inline), on path / gnm / rmat inputs.
 //
 // The RuntimeDeterminism suite covers every ported algorithm — Borůvka
 // connectivity/MST, flooding, referee, leader election, min-cut, two-edge
@@ -443,7 +443,7 @@ TEST(RuntimeDeterminism, MinCutLedgerIdenticalAcrossThreadCounts) {
       return run_on_fresh_cluster(graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
         MinCutConfig cfg;
         cfg.seed = 4242;
-        cfg.threads = threads;
+        cfg.connectivity.threads = threads;
         res = approximate_min_cut(c, dg, cfg);
       });
     };
