@@ -48,7 +48,6 @@ void Cluster::deliver_shards_begin(std::span<OutboxShard> shards) {
     delivered_arenas_[src].reset();
     std::swap(delivered_arenas_[src], shards[src].arena);
   }
-  injected_arena_.reset();
   delivery_shards_ = shards;
 }
 
@@ -188,10 +187,10 @@ void Cluster::clear_inbox(MachineId m) {
 void Cluster::inject_inbox(MachineId m, const Message& msg) {
   KMM_CHECK(m < config_.k && msg.dst == m);
   Message copy = msg;
-  // Inbox lifetime for the payload: injected_arena_ is reset by the next
-  // delivery, which clears every inbox, so the copy can never outlive its
-  // words.
-  copy.reintern(injected_arena_);
+  // Inbox lifetime for the payload: delivered_arenas_[m] is reset by the
+  // next delivery, which replaces every inbox, so the copy can never outlive
+  // its words (appending moves none of the payloads already there).
+  copy.reintern(delivered_arenas_[m]);
   inboxes_[m].push_back(copy);
 }
 

@@ -171,6 +171,8 @@ class Cluster {
   // delivered payload stays where its handler wrote it, lives exactly as
   // long as the inbox it sits in, and the shard gets a warm empty arena
   // back. Arenas only trade owners, so the steady state allocates nothing.
+  // inject_inbox(m, ...) copies into delivered_arenas_[m], which the same
+  // reset recycles.
   //
   // Ledger partials are SPARSE per-destination rows rather than a dense
   // dst-major k*k table: destination d's task appends one (src, bits) pair
@@ -201,7 +203,6 @@ class Cluster {
 
   std::span<OutboxShard> delivery_shards_;       // valid between begin/finish
   std::vector<PayloadArena> delivered_arenas_;   // one per source: live inbox payloads
-  PayloadArena injected_arena_;                  // payloads of inject_inbox() copies
   std::vector<DeliveryPartial> delivery_partials_;  // one sparse row per destination
   std::vector<LedgerFold> fold_nodes_;           // tree-fold working set (k leaves)
   std::vector<std::pair<MachineId, std::uint64_t>> fold_merge_tmp_;

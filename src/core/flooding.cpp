@@ -18,11 +18,14 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   const std::size_t n = dg.num_vertices();
   const MachineId k = cluster.k();
   // The smallest label crosses one boundary hop per iteration, so n + 1
-  // iterations suffice. Injected corruption can hand a vertex a fresh
-  // smaller in-range label at any iteration; every iteration but the last
-  // still lowers some label in [0, n), which bounds that case by the sum of
-  // the initial labels. Exceeding the bound is a bug, not slow convergence.
-  const std::uint64_t max_iterations = config.fault == nullptr ? n + 1 : n * (n - 1) / 2 + 1;
+  // iterations suffice; crashes and lossy links leave every bucket holding
+  // the fault-free messages, so that holds under them too. Injected payload
+  // corruption can hand a vertex a fresh smaller in-range label at any
+  // iteration; every iteration but the last still lowers some label in
+  // [0, n), which bounds that case by the sum of the initial labels.
+  // Exceeding the bound is a bug, not slow convergence.
+  const bool corrupting = config.fault != nullptr && config.fault->schedule().can_corrupt();
+  const std::uint64_t max_iterations = corrupting ? n * (n - 1) / 2 + 1 : n + 1;
   Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
                                     config.pool});
 

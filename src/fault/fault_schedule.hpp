@@ -14,6 +14,7 @@
 // add_link_fault / ...) compose: tests pin single events, smoke runs turn a
 // named profile loose over every key.
 
+#include <algorithm>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -97,6 +98,13 @@ class FaultSchedule {
   [[nodiscard]] bool has_link_faults() const noexcept {
     return profile_.drop_prob > 0.0 || profile_.dup_prob > 0.0 ||
            profile_.reorder_prob > 0.0 || profile_.corrupt_prob > 0.0 || !links_.empty();
+  }
+  /// True when some payload can be tampered with in transit. Every other
+  /// fault leaves each bucket holding the fault-free message sequence.
+  [[nodiscard]] bool can_corrupt() const noexcept {
+    return profile_.corrupt_prob > 0.0 ||
+           std::any_of(links_.begin(), links_.end(),
+                       [](const ExplicitLink& l) { return l.kind == LinkFaultKind::kCorrupt; });
   }
 
   // ---------------------------------------------------------- per-message draws

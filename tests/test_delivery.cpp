@@ -129,10 +129,9 @@ TEST(DeliveryPlane, SkewedSchedulingKeepsLedgerAndInboxOrderIdentical) {
 }
 
 TEST(DeliveryPlane, SpilledPayloadsStayValidForTheWholeInboxGeneration) {
-  // Spilled payloads live in the destination inbox's arena after direct
-  // delivery; they must survive until the NEXT delivery recycles that
-  // generation, including across a step where other machines' inboxes are
-  // refilled (per-destination arenas are independent).
+  // A spilled payload stays in the sender's arena after delivery; it must
+  // survive until the NEXT deliver_shards_begin recycles that arena, which
+  // is the same moment every inbox is replaced.
   Cluster cluster(ClusterConfig{.k = 4, .bandwidth_bits = 1 << 20});
   Runtime rt(cluster, RuntimeConfig{.threads = 4});
   std::vector<std::uint64_t> big(3 * kInlinePayloadWords);

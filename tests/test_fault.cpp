@@ -252,6 +252,58 @@ TEST(FaultPlane, LossyLinksNeverChangeAnswersOnlyRounds) {
   EXPECT_EQ(per_thread[0], per_thread[2]);
 }
 
+TEST(FaultPlane, OnlyCorruptionCanTamperWithPayloads) {
+  // can_corrupt() picks flooding's convergence bound: n + 1 iterations
+  // unless some payload can be tampered with in transit.
+  EXPECT_FALSE(FaultSchedule(1).can_corrupt());
+  EXPECT_FALSE(FaultSchedule(1, FaultProfile::named("lossy")).can_corrupt());
+  EXPECT_FALSE(FaultSchedule(1, FaultProfile::named("chaos")).can_corrupt());
+  EXPECT_TRUE(FaultSchedule(1, FaultProfile::named("corrupt")).can_corrupt());
+  FaultSchedule links(1);
+  links.add_crash(0, 1);
+  links.add_link_fault(0, 0, 1, 0, LinkFaultKind::kDrop);
+  links.add_link_fault(0, 0, 1, 0, LinkFaultKind::kDuplicate);
+  links.add_link_fault(0, 0, 1, 0, LinkFaultKind::kReorder);
+  EXPECT_FALSE(links.can_corrupt());
+  links.add_link_fault(3, 1, 0, 0, LinkFaultKind::kCorrupt);
+  EXPECT_TRUE(links.can_corrupt());
+}
+
+TEST(FaultPlane, CrashAndLossyFloodStaysWithinNPlusOneIterations) {
+  // A round-robin path is flooding's worst case: every edge is cut, so the
+  // smallest label needs n - 1 boundary hops. Crashes and lossy links leave
+  // every bucket holding the fault-free messages, so the flood keeps the
+  // fault-free iteration count, inside the n + 1 bound its loop checks.
+  const std::size_t n = 64;
+  const MachineId k = 4;
+  const Graph g = gen::path(n);
+  Cluster c0(ClusterConfig::for_graph(n, k));
+  const FloodingResult clean = flooding_connectivity(
+      c0, DistributedGraph(g, VertexPartition::round_robin(n, k)), FloodingConfig{});
+  ASSERT_TRUE(clean.converged);
+  EXPECT_GE(clean.supersteps, n - 1);
+
+  FaultSchedule sched(7, FaultProfile::named("chaos"));
+  sched.add_crash(5, 2);
+  ASSERT_FALSE(sched.can_corrupt());
+  for (const unsigned threads : {1u, 4u}) {
+    Cluster cluster(ClusterConfig::for_graph(n, k));
+    FaultPlane plane(sched);
+    FloodingConfig cfg;
+    cfg.threads = threads;
+    cfg.fault = &plane;
+    const FloodingResult res = flooding_connectivity(
+        cluster, DistributedGraph(g, VertexPartition::round_robin(n, k)), cfg);
+    EXPECT_TRUE(res.converged);
+    EXPECT_EQ(res.labels, clean.labels) << "threads=" << threads;
+    EXPECT_EQ(res.supersteps, clean.supersteps) << "threads=" << threads;
+    EXPECT_LE(res.supersteps, n + 1);
+    const FaultStats fs = plane.stats();
+    EXPECT_GT(fs.crashes, 1u) << "threads=" << threads;
+    EXPECT_GT(fs.drops + fs.duplicates + fs.reorders, 0u) << "threads=" << threads;
+  }
+}
+
 // -------------------------------------------------------------- corruption
 
 TEST(FaultPlane, CorruptionIsCaughtByTheRawLabelReferee) {
