@@ -35,7 +35,9 @@ int main() {
       const DistributedGraph d1(g, part), d2(g, part);
       // The randomness relay charges the same in both modes; disable it so
       // the table isolates the routing effect the paper argues about.
-      BoruvkaConfig pc{.seed = split(5, k), .charge_randomness = false};
+      BoruvkaConfig pc;
+      pc.seed = split(5, k);
+      pc.charge_randomness = false;
       BoruvkaConfig cc = pc;
       cc.single_coordinator = true;
       const auto rp = connected_components(c1, d1, pc).stats.rounds;
@@ -65,7 +67,8 @@ int main() {
       for (int trial = 0; trial < 5; ++trial) {
         Cluster c(ClusterConfig::for_graph(4096, 16));
         const DistributedGraph d(g, VertexPartition::random(4096, 16, split(9, trial)));
-        BoruvkaConfig cfg{.seed = split(11, trial)};
+        BoruvkaConfig cfg;
+        cfg.seed = split(11, trial);
         cfg.merge_rule = rule;
         const auto res = connected_components(c, d, cfg);
         phases.add(static_cast<double>(res.phases.size()));
@@ -91,7 +94,8 @@ int main() {
       const Graph g = weighted_unique(gen::star(n), split(13, n));
       Cluster c(ClusterConfig::for_graph(n, k));
       const DistributedGraph d(g, VertexPartition::random(n, k, split(15, k)));
-      BoruvkaConfig cfg{.seed = split(17, k)};
+      BoruvkaConfig cfg;
+      cfg.seed = split(17, k);
       const auto mst = minimum_spanning_forest(c, d, cfg);
       const auto strict = announce_mst_to_home_machines(c, d, mst);
       std::printf("%6zu %4u %12llu %14llu\n", n, k,
@@ -136,7 +140,8 @@ int main() {
       for (const MachineId k : {MachineId{8}, MachineId{32}}) {
         Cluster c(ClusterConfig::for_graph(n, k));
         const DistributedGraph d(g, VertexPartition::random(n, k, split(33, k)));
-        BoruvkaConfig cfg{.seed = split(35, k)};
+        BoruvkaConfig cfg;
+        cfg.seed = split(35, k);
         const auto res = two_edge_connectivity(c, d, cfg);
         std::printf("%6zu %4u %10llu %14llu %14llu %8s\n", n, k,
                     static_cast<unsigned long long>(res.stats.rounds),
@@ -161,7 +166,8 @@ int main() {
       cc.bandwidth_bits = b;
       Cluster c(cc);
       const DistributedGraph d(g, VertexPartition::random(2048, 16, 25));
-      BoruvkaConfig cfg{.seed = 27};
+      BoruvkaConfig cfg;
+      cfg.seed = 27;
       const auto res = connected_components(c, d, cfg);
       std::printf("%12llu %10llu %18.2e\n", static_cast<unsigned long long>(b),
                   static_cast<unsigned long long>(res.stats.rounds),

@@ -42,7 +42,7 @@ Row run_all(const Graph& g, MachineId k, std::uint64_t seed, BenchJson& json) {
     Cluster c(ClusterConfig::for_graph(n, k));
     const DistributedGraph dg(g, part);
     const auto timed = time_stats(
-        [&] { return referee_connectivity(c, dg, RefereeConfig{.broadcast_labels = false}); });
+        [&] { return referee_connectivity(c, dg, RefereeConfig{{}, /*broadcast_labels=*/false}); });
     row.referee = timed.stats.rounds;
     json.record("referee", n, m, k, 1, timed.stats, 0, timed.wall_ms);
   }

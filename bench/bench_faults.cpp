@@ -76,10 +76,7 @@ constexpr std::size_t kSteadySteps = 512;
 FaultBenchRun drive(kmm::FaultPlane* plane) {
   kmm::Cluster cluster(kmm::ClusterConfig{kMachines, 64});
   RingProgram program(kMachines);
-  kmm::RuntimeConfig rcfg;
-  rcfg.threads = 1;
-  rcfg.fault = plane;
-  kmm::Runtime rt(cluster, rcfg);
+  kmm::Runtime rt(cluster, kmm::RuntimeConfig{1}, plane);
 
   for (std::size_t s = 0; s < kWarmupSteps; ++s) (void)rt.step(program);
   const std::uint64_t a0 = alloc_count();

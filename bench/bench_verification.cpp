@@ -40,7 +40,8 @@ int main() {
   auto tree_minus_one = tree_edges;
   tree_minus_one.pop_back();
 
-  const BoruvkaConfig cfg{.seed = 73};
+  BoruvkaConfig cfg;
+  cfg.seed = 73;
   const std::vector<std::pair<const Graph*, Problem>> problems = {
       {&connected, {"scs yes (spanning tree)", true,
                     [&](Cluster& c, const DistributedGraph& d) {
@@ -145,7 +146,8 @@ int main() {
             "bipartite-threads", big_n, g.num_edges(), 16, json, [&](unsigned threads) {
               Cluster cluster(ClusterConfig::for_graph(big_n, 16));
               const DistributedGraph dg(g, VertexPartition::random(big_n, 16, 85));
-              BoruvkaConfig vcfg{.seed = 87};
+              BoruvkaConfig vcfg;
+              vcfg.seed = 87;
               vcfg.threads = threads;
               return time_stats([&] { return verify_bipartiteness(cluster, dg, vcfg); });
             })) {

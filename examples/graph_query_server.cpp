@@ -48,18 +48,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < g.edges().size() && i < 6; ++i) {
       sub.emplace_back(g.edges()[i].u, g.edges()[i].v);
     }
-    const QueryKind kinds[] = {
-        QueryKind::kConnectivity,         QueryKind::kMst,
-        QueryKind::kMinCut,               QueryKind::kTwoEdge,
-        QueryKind::kFlooding,             QueryKind::kRefereeConnectivity,
-        QueryKind::kLeaderElection,       QueryKind::kVerifySpanningSubgraph,
-        QueryKind::kVerifyCut,            QueryKind::kVerifyStConnectivity,
-        QueryKind::kVerifyEdgeOnAllPaths, QueryKind::kVerifyStCut,
-        QueryKind::kVerifyCycle,          QueryKind::kVerifyECycle,
-        QueryKind::kVerifyBipartite,
-    };
     std::vector<std::shared_ptr<QueryTicket>> tickets;
-    for (const QueryKind kind : kinds) {
+    for (std::size_t i = 0; i < kQueryKindCount; ++i) {
+      const auto kind = static_cast<QueryKind>(i);
       QueryRequest req;
       req.kind = kind;
       req.seed = split(3, static_cast<std::uint64_t>(kind));
@@ -73,19 +64,18 @@ int main(int argc, char** argv) {
       }
       tickets.push_back(service.submit(std::move(req)));
     }
-    std::printf("mixed workload (%zu kinds, %u in flight):\n", std::size(kinds),
+    std::printf("mixed workload (%zu kinds, %u in flight):\n", kQueryKindCount,
                 cfg.workers);
     for (std::size_t i = 0; i < tickets.size(); ++i) {
+      const char* name = query_kind_name(static_cast<QueryKind>(i));
       const QueryOutcome& outcome = tickets[i]->wait();
       if (outcome.ok()) {
         const QueryResult& r = outcome.value();
-        std::printf("  %-26s value=%-8llu verdict=%-3s rounds=%llu\n",
-                    query_kind_name(kinds[i]), static_cast<unsigned long long>(r.value),
-                    r.verdict ? "yes" : "no",
+        std::printf("  %-26s value=%-8llu verdict=%-3s rounds=%llu\n", name,
+                    static_cast<unsigned long long>(r.value), r.verdict ? "yes" : "no",
                     static_cast<unsigned long long>(r.ledger.rounds));
       } else {
-        std::printf("  %-26s error=%s\n", query_kind_name(kinds[i]),
-                    query_error_name(outcome.error().code));
+        std::printf("  %-26s error=%s\n", name, query_error_name(outcome.error().code));
       }
     }
   }

@@ -267,11 +267,9 @@ void print_stats(const char* what, const RunStats& stats) {
 void print_fault_stats(const FaultPlane* plane) {
   if (plane == nullptr) return;
   const FaultStats s = plane->stats();
-  std::printf("faults: crashes=%llu restores=%llu restarts=%llu replayed=%llu "
-              "checkpoints=%llu\n",
+  std::printf("faults: crashes=%llu restores=%llu replayed=%llu checkpoints=%llu\n",
               static_cast<unsigned long long>(s.crashes),
               static_cast<unsigned long long>(s.restores),
-              static_cast<unsigned long long>(s.restarts),
               static_cast<unsigned long long>(s.replayed_steps),
               static_cast<unsigned long long>(s.checkpoints));
   std::printf("faults: drops=%llu dups=%llu reorders=%llu corruptions=%llu "
@@ -305,7 +303,8 @@ std::uint64_t durable_fingerprint(const Options& opt, std::size_t n, std::size_t
 /// directory with --resume, unwritable dir) — never on clean completion.
 std::optional<ResumableFloodResult> run_durable_flood(const Options& opt, Cluster& cluster,
                                                       const DistributedGraph& dg,
-                                                      const ObsSink* obs, std::size_t m) {
+                                                      const RuntimeConfig& runtime,
+                                                      std::size_t m) {
   const std::uint64_t fp = durable_fingerprint(opt, dg.num_vertices(), m);
   std::string dir_error;
   if (!ensure_directory(opt.durable_dir, &dir_error)) {
@@ -340,9 +339,7 @@ std::optional<ResumableFloodResult> run_durable_flood(const Options& opt, Cluste
     plane.arm_resume(&recovered->frame);
   }
 
-  ResumableFloodConfig fcfg;
-  fcfg.threads = opt.threads;
-  fcfg.obs = obs;
+  ResumableFloodConfig fcfg{runtime};
   fcfg.fault = &plane;
   const ResumableFloodResult res = resumable_flood_connectivity(cluster, dg, fcfg);
   std::printf("components=%llu supersteps=%llu converged=%s\n",
@@ -425,12 +422,11 @@ int run_stream(const Options& opt) {
                       opt.trace_out.empty() ? nullptr : opt.trace_out.c_str(),
                       opt.algo.c_str());
 
-  BoruvkaConfig acfg;
+  const RuntimeConfig runtime{opt.threads, obs.sink()};
+  BoruvkaConfig acfg{runtime};
   acfg.seed = split(opt.seed, 0xa190);
   acfg.single_coordinator = opt.coordinator;
   acfg.merge_rule = opt.coinflip ? MergeRule::kCoinFlip : MergeRule::kDrr;
-  acfg.threads = opt.threads;
-  acfg.obs = obs.sink();
 
   if (opt.algo == "conn") {
     const auto res = connected_components(cluster, dg, acfg);
@@ -447,23 +443,17 @@ int run_stream(const Options& opt) {
     print_stats("mst", res.stats);
   } else if (opt.algo == "flood") {
     if (!opt.durable_dir.empty()) {
-      const auto res = run_durable_flood(opt, cluster, dg, obs.sink(), m);
+      const auto res = run_durable_flood(opt, cluster, dg, runtime, m);
       if (!res.has_value()) return 1;
     } else {
-      FloodingConfig fcfg;
-      fcfg.threads = opt.threads;
-      fcfg.obs = obs.sink();
-      const auto res = flooding_connectivity(cluster, dg, fcfg);
+      const auto res = flooding_connectivity(cluster, dg, FloodingConfig{runtime});
       std::printf("components=%llu supersteps=%llu\n",
                   static_cast<unsigned long long>(res.num_components),
                   static_cast<unsigned long long>(res.supersteps));
       print_stats("flood", res.stats);
     }
   } else {  // referee
-    RefereeConfig rcfg;
-    rcfg.threads = opt.threads;
-    rcfg.obs = obs.sink();
-    const auto res = referee_connectivity(cluster, dg, rcfg);
+    const auto res = referee_connectivity(cluster, dg, RefereeConfig{runtime});
     std::printf("components=%llu\n", static_cast<unsigned long long>(res.num_components));
     print_stats("referee", res.stats);
   }
@@ -567,18 +557,6 @@ int run_serve(const Options& opt) {
     edge_operand.emplace_back(g.edges()[i].u, g.edges()[i].v);
   }
 
-  constexpr QueryKind kCycle[] = {
-      QueryKind::kConnectivity,       QueryKind::kMst,
-      QueryKind::kMinCut,             QueryKind::kTwoEdge,
-      QueryKind::kFlooding,           QueryKind::kRefereeConnectivity,
-      QueryKind::kLeaderElection,     QueryKind::kVerifySpanningSubgraph,
-      QueryKind::kVerifyCut,          QueryKind::kVerifyStConnectivity,
-      QueryKind::kVerifyEdgeOnAllPaths, QueryKind::kVerifyStCut,
-      QueryKind::kVerifyCycle,        QueryKind::kVerifyECycle,
-      QueryKind::kVerifyBipartite,
-  };
-  constexpr std::size_t kCycleLen = sizeof(kCycle) / sizeof(kCycle[0]);
-
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   tickets.reserve(opt.queries);
   for (std::size_t q = 0; q < opt.queries; ++q) {
@@ -589,7 +567,7 @@ int run_serve(const Options& opt) {
       req.budget.deadline_ms = 1;
       req.budget.max_supersteps = 2;
     } else {
-      req.kind = kCycle[q % kCycleLen];
+      req.kind = static_cast<QueryKind>(q % kQueryKindCount);
       req.s = 0;
       req.t = static_cast<Vertex>(n - 1);
       req.x = ex;
@@ -683,12 +661,11 @@ int main(int argc, char** argv) {
                       opt.trace_out.empty() ? nullptr : opt.trace_out.c_str(),
                       opt.algo.c_str());
 
-  BoruvkaConfig acfg;
+  const RuntimeConfig runtime{opt.threads, obs.sink()};
+  BoruvkaConfig acfg{runtime};
   acfg.seed = split(opt.seed, 0xa190);
   acfg.single_coordinator = opt.coordinator;
   acfg.merge_rule = opt.coinflip ? MergeRule::kCoinFlip : MergeRule::kDrr;
-  acfg.threads = opt.threads;
-  acfg.obs = obs.sink();
   if (opt.threads != 1) {
     std::printf("runtime threads: %u requested -> %u effective\n", opt.threads,
                 resolve_threads(opt.threads, opt.k));
@@ -718,11 +695,7 @@ int main(int argc, char** argv) {
   }
 
   if (opt.algo == "leader") {
-    LeaderElectionConfig lcfg;
-    lcfg.seed = acfg.seed;
-    lcfg.threads = opt.threads;
-    lcfg.obs = obs.sink();
-    const auto res = elect_leader(cluster, lcfg);
+    const auto res = elect_leader(cluster, LeaderElectionConfig{runtime, acfg.seed});
     std::printf("leader: machine %u\n", res.leader);
     print_stats("leader", res.stats);
     return 0;
@@ -763,13 +736,11 @@ int main(int argc, char** argv) {
     std::vector<Label> labels;
     if (!opt.durable_dir.empty()) {
       const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
-      const auto res = run_durable_flood(opt, cluster, dg, obs.sink(), m);
+      const auto res = run_durable_flood(opt, cluster, dg, runtime, m);
       if (!res.has_value()) return 1;
       labels = res->labels;
     } else {
-      FloodingConfig fcfg;
-      fcfg.threads = opt.threads;
-      fcfg.obs = obs.sink();
+      FloodingConfig fcfg{runtime};
       fcfg.fault = fault_plane ? &*fault_plane : nullptr;
       const auto res = flooding_connectivity(cluster, dg, fcfg);
       std::printf("components=%llu supersteps=%llu\n",
@@ -793,17 +764,13 @@ int main(int argc, char** argv) {
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "referee") {
-    RefereeConfig rcfg;
-    rcfg.threads = opt.threads;
-    rcfg.obs = obs.sink();
-    const auto res = referee_connectivity(cluster, dg, rcfg);
+    const auto res = referee_connectivity(cluster, dg, RefereeConfig{runtime});
     std::printf("components=%llu\n", static_cast<unsigned long long>(res.num_components));
     print_stats("referee", res.stats);
   } else if (opt.algo == "mincut") {
     MinCutConfig mcfg;
     mcfg.seed = acfg.seed;
-    mcfg.connectivity.threads = opt.threads;
-    mcfg.connectivity.obs = obs.sink();
+    mcfg.connectivity = BoruvkaConfig{runtime};
     const auto res = approximate_min_cut(cluster, dg, mcfg);
     std::printf("estimate=%llu disconnect_level=%d connected=%s\n",
                 static_cast<unsigned long long>(res.estimate), res.disconnect_level,

@@ -70,8 +70,7 @@ BoruvkaEngine::BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg,
       shared_(config.seed),
       n_(dg.num_vertices()),
       label_bits_(bits_for(std::max<std::uint64_t>(n_, 2))),
-      runtime_(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
-                                      config.pool}) {
+      runtime_(cluster, config, config.fault) {
   KMM_CHECK_MSG(n_ >= 2, "the engine needs at least two vertices");
   const MachineId k = cluster_->k();
   machine_parts_.resize(k);

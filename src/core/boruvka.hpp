@@ -95,7 +95,11 @@ enum class MergeRule {
   kCoinFlip,
 };
 
-struct BoruvkaConfig {
+/// The runtime knobs (threads, obs, cancel, pool) come from RuntimeConfig
+/// and reach every Runtime this config builds: the engine and the
+/// BoruvkaConfig-driven passes (rep_mst, two_edge, verification). Results
+/// and the cluster ledger are identical for every thread count.
+struct BoruvkaConfig : RuntimeConfig {
   std::uint64_t seed = 1;        // master seed for the shared random tape
   int sketch_copies = 3;         // l0-sampler repetitions
   int max_phases = 0;            // 0 => the Lemma 7 bound 12*ceil(log2 n)
@@ -108,30 +112,12 @@ struct BoruvkaConfig {
   /// instead of random proxies — the congested "trivial strategy" of
   /// Section 1.2. Correctness is unaffected; rounds degrade to O~(n/k).
   bool single_coordinator = false;
-  /// Worker threads for per-machine local computation (1 = sequential,
-  /// 0 = hardware concurrency; clamped to k). Results and the cluster
-  /// ledger are identical for every value — only wall-clock time changes.
-  unsigned threads = 1;
-  /// Optional observability sinks, forwarded to every Runtime this config
-  /// builds (engine + the BoruvkaConfig-driven passes: rep_mst, two_edge,
-  /// verification). Null records nothing; the ledger is identical either
-  /// way. See src/obs/obs_sink.hpp.
-  const ObsSink* obs = nullptr;
-  /// Optional fault-injection & recovery plane (src/fault/). The engine
-  /// registers per-machine state hooks covering parts, labels, pending
-  /// resends, proxy records and recorded output edges, so scheduled crashes
-  /// roll the victim back instead of aborting; null is bit-identical.
+  /// Optional fault-injection & recovery plane (src/fault/), for the engine
+  /// only. It registers per-machine state hooks covering parts, labels,
+  /// pending resends, proxy records and recorded output edges, so scheduled
+  /// crashes roll the victim back instead of aborting; null is
+  /// bit-identical. The extra passes built from this config run without it.
   FaultPlane* fault = nullptr;
-  /// Optional cooperative cancellation point (src/serve/cancel.hpp),
-  /// forwarded to every Runtime this config builds exactly like `obs`:
-  /// deadlines/budgets/client cancellation unwind the run at the next
-  /// superstep boundary by throwing QueryCancelled (porting recipe rule 9).
-  /// Null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool (RuntimeConfig::pool): the serving layer
-  /// multiplexes many queries' Runtimes onto one pool. Null = each Runtime
-  /// owns a private pool when threads > 1, as before.
-  ThreadPool* pool = nullptr;
 };
 
 struct PhaseTrace {

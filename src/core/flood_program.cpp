@@ -109,8 +109,7 @@ ResumableFloodResult resumable_flood_connectivity(Cluster& cluster,
   const std::uint64_t cap =
       config.max_supersteps != 0 ? config.max_supersteps : static_cast<std::uint64_t>(n) + 8;
   FloodProgram program(dg, cluster.k());
-  Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
-                                    config.pool});
+  Runtime rt(cluster, config, config.fault);
   // Driven step-by-step rather than via Runtime::run so exhausting the cap
   // reports converged=false instead of aborting — a durable first lifetime
   // is "killed" exactly this way, with its state living on in the store.

@@ -30,7 +30,6 @@
 #include "cluster/distributed_graph.hpp"
 #include "core/common.hpp"
 #include "core/flood_exchange.hpp"
-#include "obs/obs_sink.hpp"
 #include "runtime/machine_program.hpp"
 
 namespace kmm {
@@ -77,13 +76,12 @@ class FloodProgram final : public MachineProgram {
 /// Driver config/result mirroring FloodingConfig/FloodingResult; `fault`
 /// carries the durable plane (DurableStore tee and/or an armed resume
 /// frame) when durability is wanted.
-struct ResumableFloodConfig {
+struct ResumableFloodConfig : RuntimeConfig {
   std::uint64_t max_supersteps = 0;  // 0 = n + 8 safety cap
-  unsigned threads = 1;
-  const ObsSink* obs = nullptr;
+  /// Optional fault-injection & recovery plane (src/fault/): the program
+  /// checkpoints every C supersteps (and tees them to a durable store when
+  /// one is attached); null leaves behaviour bit-identical.
   FaultPlane* fault = nullptr;
-  CancelPoint* cancel = nullptr;
-  ThreadPool* pool = nullptr;
 };
 
 struct ResumableFloodResult {

@@ -26,8 +26,7 @@ FloodingResult flooding_connectivity(Cluster& cluster, const DistributedGraph& d
   // Exceeding the bound is a bug, not slow convergence.
   const bool corrupting = config.fault != nullptr && config.fault->schedule().can_corrupt();
   const std::uint64_t max_iterations = corrupting ? n * (n - 1) / 2 + 1 : n + 1;
-  Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, config.fault, config.cancel,
-                                    config.pool});
+  Runtime rt(cluster, config, config.fault);
 
   FloodingResult result;
   result.labels.resize(n);

@@ -21,30 +21,17 @@
 #include <vector>
 
 #include "core/common.hpp"
-#include "obs/obs_sink.hpp"
 
 namespace kmm {
 
 class FaultPlane;
 
-struct FloodingConfig {
-  /// Worker threads for per-machine local computation (1 = sequential,
-  /// 0 = hardware concurrency; clamped to k). Results and the cluster
-  /// ledger are identical for every value.
-  unsigned threads = 1;
-  /// Optional observability sinks (see src/obs/obs_sink.hpp); null records
-  /// nothing and leaves the ledger untouched either way.
-  const ObsSink* obs = nullptr;
+struct FloodingConfig : RuntimeConfig {
   /// Optional fault-injection & recovery plane (src/fault/). Flooding
   /// registers per-machine state hooks (labels/changed/sent-bit of the
   /// hosted vertex partition), so scheduled crashes roll back and replay
   /// instead of aborting; null leaves behaviour bit-identical.
   FaultPlane* fault = nullptr;
-  /// Optional cooperative cancellation point (src/serve/cancel.hpp),
-  /// checked once per superstep; null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool (RuntimeConfig::pool); null = private pool.
-  ThreadPool* pool = nullptr;
 };
 
 struct FloodingResult {

@@ -14,8 +14,7 @@ constexpr std::uint32_t kTagTicket = 71;
 LeaderResult elect_leader(Cluster& cluster, const LeaderElectionConfig& config) {
   const StatsScope scope(cluster);
   const MachineId k = cluster.k();
-  Runtime rt(cluster,
-             RuntimeConfig{config.threads, config.obs, nullptr, config.cancel, config.pool});
+  Runtime rt(cluster, config);
 
   // Machine i's private ticket; modeled as split(seed, i) so the run is
   // reproducible, exactly like the machines' private tapes elsewhere.

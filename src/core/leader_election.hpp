@@ -10,23 +10,11 @@
 // (tiny) local work parallelizes with config.threads > 1.
 
 #include "core/common.hpp"
-#include "obs/obs_sink.hpp"
 
 namespace kmm {
 
-struct LeaderElectionConfig {
+struct LeaderElectionConfig : RuntimeConfig {
   std::uint64_t seed = 1;  // seeds every machine's private ticket tape
-  /// Worker threads for per-machine local computation (1 = sequential,
-  /// 0 = hardware concurrency; clamped to k).
-  unsigned threads = 1;
-  /// Optional observability sinks (see src/obs/obs_sink.hpp); null records
-  /// nothing and leaves the ledger untouched either way.
-  const ObsSink* obs = nullptr;
-  /// Optional cooperative cancellation point (src/serve/cancel.hpp),
-  /// checked once per superstep; null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool (RuntimeConfig::pool); null = private pool.
-  ThreadPool* pool = nullptr;
 };
 
 struct LeaderResult {

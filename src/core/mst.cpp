@@ -36,15 +36,14 @@ BoruvkaResult minimum_spanning_forest(Cluster& cluster, const DistributedGraph& 
 }
 
 StrictMstOutput announce_mst_to_home_machines(Cluster& cluster, const DistributedGraph& dg,
-                                              const BoruvkaResult& mst, unsigned threads,
-                                              const ObsSink* obs, CancelPoint* cancel,
-                                              ThreadPool* pool) {
+                                              const BoruvkaResult& mst,
+                                              const RuntimeConfig& config) {
   const StatsScope scope(cluster);
   const MachineId k = cluster.k();
   KMM_CHECK(mst.mst_by_machine.size() == k);
   const std::uint64_t label_bits =
       bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2));
-  Runtime rt(cluster, RuntimeConfig{threads, obs, nullptr, cancel, pool});
+  Runtime rt(cluster, config);
 
   rt.step([&](MachineId i, std::span<const Message>, Outbox& out) {
     for (const auto& e : mst.mst_by_machine[i]) {

@@ -40,17 +40,12 @@ struct StrictMstOutput {
   RunStats stats;  // cost of the announcement pass alone
 };
 
-/// `threads` parallelizes the per-machine announce/collect handlers
-/// (same semantics as BoruvkaConfig::threads; ledger is thread-invariant).
-/// `obs` optionally records the pass into the caller's observability sinks
-/// (same contract as BoruvkaConfig::obs); `cancel`/`pool` ride along with
-/// the BoruvkaConfig seam semantics (rule 9 / shared-pool multiplexing).
+/// `config` drives the pass's Runtime (threads, obs, cancel, pool); pass
+/// the MST run's BoruvkaConfig to put the pass on the same timeline and
+/// budget. The ledger is thread-invariant.
 [[nodiscard]] StrictMstOutput announce_mst_to_home_machines(Cluster& cluster,
                                                             const DistributedGraph& dg,
                                                             const BoruvkaResult& mst,
-                                                            unsigned threads = 1,
-                                                            const ObsSink* obs = nullptr,
-                                                            CancelPoint* cancel = nullptr,
-                                                            ThreadPool* pool = nullptr);
+                                                            const RuntimeConfig& config = {});
 
 }  // namespace kmm

@@ -18,8 +18,7 @@ RefereeResult referee_connectivity(Cluster& cluster, const DistributedGraph& dg,
   const StatsScope scope(cluster);
   const std::size_t n = dg.num_vertices();
   const std::uint64_t label_bits = bits_for(std::max<std::uint64_t>(n, 2));
-  Runtime rt(cluster,
-             RuntimeConfig{config.threads, config.obs, nullptr, config.cancel, config.pool});
+  Runtime rt(cluster, config);
 
   // Every machine ships each hosted edge (counted once, from the lower
   // endpoint's home) to the referee, machine 0. Handlers only read the

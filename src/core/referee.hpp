@@ -12,25 +12,13 @@
 #include <vector>
 
 #include "core/common.hpp"
-#include "obs/obs_sink.hpp"
 
 namespace kmm {
 
-struct RefereeConfig {
+struct RefereeConfig : RuntimeConfig {
   /// Ship the labeling back to the home machines (the paper's referee
   /// argument only counts the collection; broadcasting adds ~n/k more).
   bool broadcast_labels = true;
-  /// Worker threads for per-machine local computation (1 = sequential,
-  /// 0 = hardware concurrency; clamped to k).
-  unsigned threads = 1;
-  /// Optional observability sinks (see src/obs/obs_sink.hpp); null records
-  /// nothing and leaves the ledger untouched either way.
-  const ObsSink* obs = nullptr;
-  /// Optional cooperative cancellation point (src/serve/cancel.hpp),
-  /// checked once per superstep; null never cancels.
-  CancelPoint* cancel = nullptr;
-  /// Optional shared worker pool (RuntimeConfig::pool); null = private pool.
-  ThreadPool* pool = nullptr;
 };
 
 struct RefereeResult {

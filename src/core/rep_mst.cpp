@@ -23,8 +23,7 @@ RepMstResult rep_model_mst(Cluster& cluster, const Graph& graph, const EdgeParti
   const std::uint64_t label_bits = bits_for(std::max<std::uint64_t>(n, 2));
   KMM_CHECK_MSG(graph.has_unique_weights(),
                 "REP MST exactness requires distinct edge weights");
-  Runtime rt(cluster,
-             RuntimeConfig{config.threads, config.obs, nullptr, config.cancel, config.pool});
+  Runtime rt(cluster, config);
 
   // Stage 1 — local filter. Each machine runs Kruskal over its own edges
   // (free local computation, one silent parallel superstep); non-forest
@@ -88,8 +87,7 @@ RepConnectivityResult rep_model_connectivity(Cluster& cluster, const Graph& grap
   const std::size_t n = graph.num_vertices();
   const MachineId k = cluster.k();
   const std::uint64_t label_bits = bits_for(std::max<std::uint64_t>(n, 2));
-  Runtime rt(cluster,
-             RuntimeConfig{config.threads, config.obs, nullptr, config.cancel, config.pool});
+  Runtime rt(cluster, config);
 
   // Stage 1 — each machine keeps a spanning forest of its own edges
   // (original edge order preserved per machine), in one silent parallel

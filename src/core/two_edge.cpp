@@ -42,8 +42,7 @@ TwoEdgeResult two_edge_connectivity(Cluster& cluster, const DistributedGraph& dg
   // The forest runs spin up their own engine runtime; this one drives the
   // certificate shipping steps with the same thread budget. Constructed
   // here, after run1, so its pool doesn't sit idle through the forest runs.
-  Runtime rt(cluster,
-             RuntimeConfig{config.threads, config.obs, nullptr, config.cancel, config.pool});
+  Runtime rt(cluster, config);
 
   // 2. Announce F1 edges to both endpoints' home machines so G \ F1 is
   //    constructible locally.

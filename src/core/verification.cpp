@@ -17,10 +17,14 @@ constexpr std::uint32_t kTagEdgeCount = 43;
 /// Distributed equality test of two vertex labels: home(s) ships label(s)
 /// to home(t), which compares and broadcasts the verdict. O(1) rounds.
 /// Two one-message control-plane supersteps — always StepMode::kInline, so
-/// a single-thread runtime is built here (no pool to spin up and join).
+/// a single-thread runtime is built here (no pool to spin up and join). The
+/// caller's obs and cancel still apply: both steps land in its timeline and
+/// count against its budget.
 bool labels_equal(Cluster& cluster, const DistributedGraph& dg, const BoruvkaResult& res,
-                  Vertex s, Vertex t) {
-  Runtime rt(cluster, RuntimeConfig{1});
+                  Vertex s, Vertex t, const RuntimeConfig& config) {
+  RuntimeConfig inline_config = config;
+  inline_config.threads = 1;
+  Runtime rt(cluster, inline_config);
   const std::uint64_t label_bits =
       bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2));
   const MachineId ms = dg.home(s);
@@ -121,7 +125,7 @@ VerifyResult verify_st_connectivity(Cluster& cluster, const DistributedGraph& dg
   const auto res = connected_components(cluster, dg, config);
   VerifyResult out;
   out.components = res.num_components;
-  out.ok = labels_equal(cluster, dg, res, s, t);
+  out.ok = labels_equal(cluster, dg, res, s, t, config);
   out.stats = scope.snapshot();
   return out;
 }
@@ -136,7 +140,7 @@ VerifyResult verify_edge_on_all_paths(Cluster& cluster, const DistributedGraph& 
   const auto res = connected_components(cluster, rd, config);
   VerifyResult out;
   out.components = res.num_components;
-  out.ok = !labels_equal(cluster, rd, res, u, v);  // e on all u-v paths
+  out.ok = !labels_equal(cluster, rd, res, u, v, config);  // e on all u-v paths
   out.stats = scope.snapshot();
   return out;
 }
@@ -150,7 +154,7 @@ VerifyResult verify_st_cut(Cluster& cluster, const DistributedGraph& dg, Vertex 
   const auto res = connected_components(cluster, rd, config);
   VerifyResult out;
   out.components = res.num_components;
-  out.ok = !labels_equal(cluster, rd, res, s, t);
+  out.ok = !labels_equal(cluster, rd, res, s, t, config);
   out.stats = scope.snapshot();
   return out;
 }
@@ -160,8 +164,7 @@ VerifyResult verify_cycle_containment(Cluster& cluster, const DistributedGraph& 
   const StatsScope scope(cluster);
   std::uint64_t m = 0;
   {
-    Runtime rt(cluster, RuntimeConfig{config.threads, config.obs, nullptr, config.cancel,
-                                      config.pool});
+    Runtime rt(cluster, config);
     m = count_edges(rt, dg);
   }
   const auto res = connected_components(cluster, dg, config);
@@ -181,7 +184,7 @@ VerifyResult verify_e_cycle_containment(Cluster& cluster, const DistributedGraph
   const auto res = connected_components(cluster, rd, config);
   VerifyResult out;
   out.components = res.num_components;
-  out.ok = labels_equal(cluster, rd, res, x, y);  // still connected => cycle
+  out.ok = labels_equal(cluster, rd, res, x, y, config);  // still connected => cycle
   out.stats = scope.snapshot();
   return out;
 }

@@ -11,9 +11,9 @@ namespace kmm {
 namespace {
 
 constexpr char kRule8Msg[] =
-    "fault plane: crash injected into a program that is not checkpointable, "
-    "has no registered state hooks, and does not support reset() — see "
-    "porting recipe rule 8 in runtime.hpp";
+    "fault plane: crash injected into a program that is neither checkpointable "
+    "nor covered by registered state hooks — see porting recipe rule 8 in "
+    "runtime.hpp";
 
 inline std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return a == 0 ? 0 : (a + b - 1) / b;
@@ -57,11 +57,6 @@ std::size_t FaultPlane::begin_step(Cluster& cluster, MachineProgram& program) {
   if (pending_resume_ != nullptr) apply_resume(cluster, program);
   crash_scratch_.clear();
   schedule_->crashes_at(ordinal_, k, crash_scratch_);
-  if (!crash_scratch_.empty() &&
-      std::find(consumed_restarts_.begin(), consumed_restarts_.end(), ordinal_) !=
-          consumed_restarts_.end()) {
-    crash_scratch_.clear();  // this ordinal's crashes restarted the phase already
-  }
   if (config_.lethal_crashes) {
     // Serving-layer kill model: no checkpoints, no logs, no recovery. A
     // crash-free schedule makes this branch a pure no-op (the silent-plane
@@ -324,31 +319,6 @@ void FaultPlane::apply_link_faults(Cluster& cluster, std::span<OutboxShard> shar
     cluster.charge_rounds(extra);
     stats_.overhead_rounds += extra;
   }
-}
-
-std::uint64_t FaultPlane::maybe_restart(Cluster& cluster, MachineProgram& program) {
-  if (program.checkpointable() || restore_ != nullptr) return 0;  // begin_step recovers
-  const MachineId k = cluster.k();
-  ensure_k(k);
-  crash_scratch_.clear();
-  schedule_->crashes_at(ordinal_, k, crash_scratch_);
-  if (crash_scratch_.empty()) return 0;
-  KMM_CHECK_MSG(program.reset(), kRule8Msg);
-  consumed_restarts_.push_back(ordinal_);
-  unsigned stall = 0;
-  for (const FaultSchedule::Crash& c : crash_scratch_) {
-    stall = std::max(stall, c.stall);
-    ++stats_.crashes;
-    if (c.hang) ++stats_.watchdog_trips;
-  }
-  ++stats_.restarts;
-  step_events_ += crash_scratch_.size();
-  // The phase restarts from scratch: every machine's in-flight input is
-  // part of the lost state.
-  for (MachineId m = 0; m < k; ++m) cluster.clear_inbox(m);
-  cluster.charge_rounds(stall);
-  stats_.stall_rounds += stall;
-  return stall;
 }
 
 }  // namespace kmm

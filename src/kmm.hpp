@@ -18,18 +18,20 @@
 //                independent of the thread count.
 //   sketch     — linear l0-sampling graph sketches
 //   core       — connectivity / MST / min-cut / verification + baselines
-//                (the Borůvka engine executes on the runtime; set
-//                BoruvkaConfig::threads to parallelize machine-local work)
+//                (every engine executes on the runtime; each core config
+//                derives from RuntimeConfig, so its `threads` field
+//                parallelizes machine-local work)
 //   obs        — opt-in observability: per-superstep MetricsTimeline rows
-//                and Chrome-trace spans, attached through an ObsSink on any
-//                core config (off by default; never perturbs the ledger)
+//                and Chrome-trace spans, attached through an ObsSink on
+//                RuntimeConfig::obs, which every core config inherits (off
+//                by default; never perturbs the ledger)
 //   fault      — opt-in fault injection & recovery: a seeded, bit-
 //                reproducible FaultSchedule (machine crashes, lossy links,
 //                payload corruption) plus the FaultPlane recovery machinery
-//                (superstep checkpoint/replay, retransmit-from-outbox,
-//                restart fallback), attached through RuntimeConfig::fault /
-//                the core configs' fault field (off by default; detached is
-//                bit-identical)
+//                (superstep checkpoint/replay, state-hook rollback,
+//                retransmit-from-outbox), attached through the `fault`
+//                field of the configs whose engines recover (off by
+//                default; detached is bit-identical)
 //   durable    — the durable checkpoint & restart plane: checksummed
 //                on-disk frames (per-machine state + superstep ordinal +
 //                the full ClusterStats ledger + the inbox replay window,

@@ -7,8 +7,8 @@
 // per-destination delivery tasks, the ledger reduction — but by default it
 // must record nothing: the k-machine ledger experiments are timing-free
 // and the hot path is allocation-free. An ObsSink is a nullable pair of
-// pointers threaded from the algorithm configs (BoruvkaConfig::obs,
-// FloodingConfig::obs, ...) through RuntimeConfig::obs into Runtime::step:
+// pointers set on RuntimeConfig::obs — the base of every algorithm config
+// (BoruvkaConfig, FloodingConfig, ...) — and read by Runtime::step:
 //
 //   * timeline — a MetricsTimeline recording one row per *ledger*
 //     superstep: the ClusterStats delta (messages, bits, per-link maximum,

@@ -39,8 +39,7 @@ class MachineProgram {
   // restore() such that restore(m, words written by snapshot(m)) rebuilds
   // machine m's state exactly — the fault plane checkpoints every C
   // supersteps and, on an injected crash, restores the victim and replays
-  // its logged inboxes. Programs without snapshots may instead support
-  // reset() (restart-from-phase-start fallback, Runtime::run only).
+  // its logged inboxes.
 
   /// True when snapshot()/restore() fully capture per-machine state.
   [[nodiscard]] virtual bool checkpointable() const { return false; }
@@ -49,9 +48,6 @@ class MachineProgram {
   virtual void snapshot(MachineId /*m*/, WordWriter& /*out*/) {}
   /// Rebuild machine m's state from a snapshot; must consume every word.
   virtual void restore(MachineId /*m*/, WordReader& /*in*/) {}
-  /// Restart fallback: return true after resetting the whole program to
-  /// its phase start (all machines). Default: restart unsupported.
-  [[nodiscard]] virtual bool reset() { return false; }
 
   /// Serialized-state version (porting recipe rule 10 in runtime.hpp): a
   /// resumable program bumps this whenever the word layout snapshot()

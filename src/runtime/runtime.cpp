@@ -28,11 +28,11 @@ unsigned resolve_threads(unsigned requested, MachineId k) {
   return std::min<unsigned>(t, k);
 }
 
-Runtime::Runtime(Cluster& cluster, RuntimeConfig config)
+Runtime::Runtime(Cluster& cluster, const RuntimeConfig& config, FaultPlane* plane)
     : cluster_(&cluster),
       threads_(resolve_threads(config.threads, cluster.k())),
       sink_(config.obs != nullptr ? *config.obs : ObsSink{}),
-      fault_(config.fault),
+      fault_(plane),
       cancel_(config.cancel) {
   // Baseline the timeline before the first step so row 0's delta starts at
   // this Runtime's construction (idempotent across sequential Runtimes
@@ -169,12 +169,6 @@ std::uint64_t Runtime::run(MachineProgram& program, std::uint64_t max_supersteps
   std::uint64_t rounds = 0;
   for (std::uint64_t s = 0; s < max_supersteps; ++s) {
     if (program.done()) return rounds;
-    if (fault_ != nullptr) {
-      // Restart-fallback recovery for programs with neither checkpoints nor
-      // state hooks: a crash resets the whole program to superstep 0
-      // (porting recipe rule 8c). No-op for recoverable programs.
-      rounds += fault_->maybe_restart(*cluster_, program);
-    }
     rounds += step(program);
   }
   KMM_CHECK_MSG(program.done(), "program exhausted its superstep budget");

@@ -57,9 +57,10 @@
 //      single-machine referee solves) pass StepMode::kInline — the pool
 //      dispatch would cost more than the handler work, and the modes are
 //      observationally identical anyway.
-//   5. Give the public entry point a config with a `threads` field
-//      (mirroring BoruvkaConfig::threads) and build one
-//      Runtime(cluster, RuntimeConfig{config.threads}) per run.
+//   5. Derive the public entry point's config from RuntimeConfig (as
+//      BoruvkaConfig does) and build one Runtime(cluster, config) per run:
+//      the threads, obs, cancel and pool knobs then reach the Runtime
+//      without being copied field by field.
 //   6. Handlers must not assume inboxes are populated between shards:
 //      delivery runs as k concurrent per-destination tasks after the
 //      handler barrier, so during a step the only readable inbox state is
@@ -80,8 +81,9 @@
 //      sinks' output mid-run (rows and rings reallocate/wrap). Analytic
 //      Cluster::charge_rounds() between steps is fine — the timeline folds
 //      the charge into the next recorded row.
-//   8. To survive the fault plane (RuntimeConfig::fault, src/fault/), a
-//      program must be recoverable in one of three ways, preferred first:
+//   8. To survive the fault plane (src/fault/, the Runtime constructor's
+//      third argument), a program must be recoverable in one of two ways,
+//      preferred first:
 //      (a) a persistent MachineProgram overrides checkpointable() -> true
 //          plus snapshot(m, WordWriter&)/restore(m, WordReader&) such that
 //          restore rebuilds machine m's state *exactly* from the words
@@ -92,16 +94,16 @@
 //          (scratch buffers, per-step accumulators);
 //      (b) lambda-driven engines register FaultPlane state hooks for the
 //          run (StateHookScope, see flooding_connectivity) with the same
-//          snapshot/restore contract per machine;
-//      (c) programs with neither implement reset() -> true (drop all state,
-//          restart the phase from its first superstep) and are driven by
-//          Runtime::run — the restart fallback; correct but pays the whole
-//          phase again per crash.
-//      A crash injected into a program that offers none of the three aborts
-//      with a pointer to this rule. Monotone one-way shared flags (e.g. the
-//      Borůvka engine's finished_ bits) may be treated as replicated stable
-//      storage and left out of snapshots; anything a machine could observe
-//      at two different values across a rollback must be serialized.
+//          snapshot/restore contract per machine.
+//      A crash injected into a program that offers neither aborts with a
+//      pointer to this rule. Only the configs of engines that recover
+//      (BoruvkaConfig, FloodingConfig, ResumableFloodConfig) declare a
+//      `fault` field; every other entry point builds its Runtime from a
+//      RuntimeConfig, which cannot carry a plane. Monotone one-way shared
+//      flags (e.g. the Borůvka engine's finished_ bits) may be treated as
+//      replicated stable storage and left out of snapshots; anything a
+//      machine could observe at two different values across a rollback
+//      must be serialized.
 //   9. Cancellation points and state-release obligations. When a
 //      CancelPoint rides RuntimeConfig::cancel (the serving layer's seam,
 //      src/serve/cancel.hpp), Runtime::step calls check() on the driver
@@ -138,11 +140,10 @@
 //      structured kStateVersionMismatch errors instead of misdecoding a
 //      stale generation. Only rule-8(a) programs are durably resumable:
 //      hook-mode engines (8b) can survive in-process crashes but their
-//      driver loop's control position dies with the process, and reset()
-//      programs (8c) have nothing to resume. Durable resume additionally
-//      relies on rules 1-6: the frame captures (state, inbox, ledger,
-//      ordinal) at a superstep boundary, and bit-identical continuation
-//      holds only because re-execution from that boundary is
+//      driver loop's control position dies with the process. Durable
+//      resume additionally relies on rules 1-6: the frame captures (state,
+//      inbox, ledger, ordinal) at a superstep boundary, and bit-identical
+//      continuation holds only because re-execution from that boundary is
 //      deterministic in everything but thread count.
 //
 // Because delivery walks the shards in ascending source order, each inbox
@@ -170,6 +171,9 @@ namespace kmm {
 class FaultPlane;
 class CancelPoint;
 
+/// The runtime knobs every entry point shares. Each core config derives
+/// from it (BoruvkaConfig, FloodingConfig, ...), so an entry point builds
+/// its Runtime straight from the config it was given.
 struct RuntimeConfig {
   /// Worker threads for per-machine handlers and delivery tasks. 1 = no
   /// pool (every step runs inline on the calling thread),
@@ -180,13 +184,6 @@ struct RuntimeConfig {
   /// sinks are borrowed — the caller keeps them alive for the Runtime's
   /// lifetime. See src/obs/obs_sink.hpp for the contract.
   const ObsSink* obs = nullptr;
-  /// Optional fault-injection & recovery plane (src/fault/fault_plane.hpp);
-  /// null (the default) is bit-identical to a build without the plane.
-  /// Borrowed like the obs sinks. When attached, transit faults are
-  /// emulated on the shard buckets between the handlers and delivery, so a
-  /// detached-vs-attached ledger only differs by the schedule's injected
-  /// faults.
-  FaultPlane* fault = nullptr;
   /// Optional cooperative cancellation point (src/serve/cancel.hpp),
   /// borrowed like the obs sinks. When attached, every step() begins with
   /// CancelPoint::check() on the driver thread — deadline, superstep and
@@ -246,7 +243,15 @@ enum class StepMode {
 
 class Runtime {
  public:
-  explicit Runtime(Cluster& cluster, RuntimeConfig config = {});
+  /// `plane` is the optional fault-injection & recovery plane
+  /// (src/fault/fault_plane.hpp), borrowed like the obs sinks; null (the
+  /// default) is bit-identical to a build without the plane. When attached,
+  /// transit faults are emulated on the shard buckets between the handlers
+  /// and delivery, so a detached-vs-attached ledger only differs by the
+  /// schedule's injected faults. Only engines that can recover pass one
+  /// (porting recipe rule 8).
+  explicit Runtime(Cluster& cluster, const RuntimeConfig& config = {},
+                   FaultPlane* plane = nullptr);
   ~Runtime();
 
   Runtime(const Runtime&) = delete;

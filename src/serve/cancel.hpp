@@ -1,11 +1,11 @@
 #pragma once
 // Cooperative cancellation and per-query budgets for the serving layer.
 //
-// The seam mirrors obs/fault: a nullable CancelPoint* rides RuntimeConfig
-// (and every core config that forwards into a Runtime), and Runtime::step
-// calls CancelPoint::check() on the driver thread at the top of every
-// superstep — before fault processing, before any handler runs. A tripped
-// check throws QueryCancelled; stack unwinding through the engine releases
+// The seam mirrors obs: a nullable CancelPoint* rides RuntimeConfig::cancel,
+// which every core config inherits, and Runtime::step calls
+// CancelPoint::check() on the driver thread at the top of every superstep —
+// before fault processing, before any handler runs. A tripped check throws
+// QueryCancelled; stack unwinding through the engine releases
 // all pooled arenas, registries and sketch state (they are RAII members of
 // stack-local engines), so a cancelled query is gone within one superstep
 // and the process keeps serving. Nothing in this header ever aborts.

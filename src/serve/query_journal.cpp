@@ -87,7 +87,7 @@ bool parse_submitted(const std::string& body, std::uint64_t& id, QueryRequest& r
       !r.u64(s) || !r.u64(t) || !r.u64(x) || !r.u64(y) || !r.u64(nedges)) {
     return false;
   }
-  if (kind > static_cast<std::uint64_t>(QueryKind::kVerifyBipartite)) return false;
+  if (kind >= kQueryKindCount) return false;
   req.kind = static_cast<QueryKind>(kind);
   req.s = static_cast<Vertex>(s);
   req.t = static_cast<Vertex>(t);

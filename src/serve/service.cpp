@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <iterator>
 
 #include "core/connectivity.hpp"
 #include "core/flooding.hpp"
@@ -28,21 +29,33 @@ inline std::uint64_t steady_now_ns() noexcept {
           .count());
 }
 
-/// Kinds whose reductions build derived graphs (or sample edges) through
-/// DistributedGraph::graph() — unanswerable on a shard-direct backend, where
-/// no machine ever held the global edge list.
-bool needs_materialized(QueryKind kind) noexcept {
-  switch (kind) {
-    case QueryKind::kConnectivity:
-    case QueryKind::kMst:
-    case QueryKind::kFlooding:
-    case QueryKind::kRefereeConnectivity:
-    case QueryKind::kLeaderElection:
-      return false;
-    default:
-      return true;
-  }
-}
+struct QueryKindInfo {
+  const char* name;
+  /// The kind's reduction builds derived graphs (or samples edges) through
+  /// DistributedGraph::graph() — unanswerable on a shard-direct backend,
+  /// where no machine ever held the global edge list.
+  bool needs_materialized;
+};
+
+/// Indexed by QueryKind, in declaration order.
+constexpr QueryKindInfo kQueryKinds[] = {
+    {"connectivity", false},
+    {"mst", false},
+    {"mincut", true},
+    {"two_edge", true},
+    {"flooding", false},
+    {"referee", false},
+    {"leader", false},
+    {"verify_spanning_subgraph", true},
+    {"verify_cut", true},
+    {"verify_st_connectivity", true},
+    {"verify_edge_on_all_paths", true},
+    {"verify_st_cut", true},
+    {"verify_cycle", true},
+    {"verify_e_cycle", true},
+    {"verify_bipartite", true},
+};
+static_assert(std::size(kQueryKinds) == kQueryKindCount);
 
 bool chaos_armed(const ServiceChaos& chaos) noexcept {
   return chaos.kill_prob > 0.0 || chaos.profile.drop_prob > 0.0 ||
@@ -53,24 +66,8 @@ bool chaos_armed(const ServiceChaos& chaos) noexcept {
 }  // namespace
 
 const char* query_kind_name(QueryKind kind) noexcept {
-  switch (kind) {
-    case QueryKind::kConnectivity: return "connectivity";
-    case QueryKind::kMst: return "mst";
-    case QueryKind::kMinCut: return "mincut";
-    case QueryKind::kTwoEdge: return "two_edge";
-    case QueryKind::kFlooding: return "flooding";
-    case QueryKind::kRefereeConnectivity: return "referee";
-    case QueryKind::kLeaderElection: return "leader";
-    case QueryKind::kVerifySpanningSubgraph: return "verify_spanning_subgraph";
-    case QueryKind::kVerifyCut: return "verify_cut";
-    case QueryKind::kVerifyStConnectivity: return "verify_st_connectivity";
-    case QueryKind::kVerifyEdgeOnAllPaths: return "verify_edge_on_all_paths";
-    case QueryKind::kVerifyStCut: return "verify_st_cut";
-    case QueryKind::kVerifyCycle: return "verify_cycle";
-    case QueryKind::kVerifyECycle: return "verify_e_cycle";
-    case QueryKind::kVerifyBipartite: return "verify_bipartite";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(kind);
+  return i < kQueryKindCount ? kQueryKinds[i].name : "unknown";
 }
 
 std::size_t estimate_query_bytes(std::size_t n, MachineId k) noexcept {
@@ -343,13 +340,10 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
                                      const ObsSink* obs) {
   QueryResult out;
   out.kind = request.kind;
-  BoruvkaConfig base;
+  const RuntimeConfig runtime{config_.query_threads, obs, &cancel, pool_.get()};
+  BoruvkaConfig base{runtime};
   base.seed = request.seed;
-  base.threads = config_.query_threads;
-  base.obs = obs;
   base.fault = plane;
-  base.cancel = &cancel;
-  base.pool = pool_.get();
   switch (request.kind) {
     case QueryKind::kConnectivity: {
       const BoruvkaResult res = connected_components(cluster, *dg_, base);
@@ -380,36 +374,21 @@ QueryResult ClusterService::dispatch(const QueryRequest& request, Cluster& clust
       break;
     }
     case QueryKind::kFlooding: {
-      FloodingConfig fc;
-      fc.threads = config_.query_threads;
-      fc.obs = obs;
+      FloodingConfig fc{runtime};
       fc.fault = plane;
-      fc.cancel = &cancel;
-      fc.pool = pool_.get();
       const FloodingResult res = flooding_connectivity(cluster, *dg_, fc);
       out.value = res.num_components;
       out.verdict = res.num_components <= 1;
       break;
     }
     case QueryKind::kRefereeConnectivity: {
-      RefereeConfig rc;
-      rc.threads = config_.query_threads;
-      rc.obs = obs;
-      rc.cancel = &cancel;
-      rc.pool = pool_.get();
-      const RefereeResult res = referee_connectivity(cluster, *dg_, rc);
+      const RefereeResult res = referee_connectivity(cluster, *dg_, RefereeConfig{runtime});
       out.value = res.num_components;
       out.verdict = res.num_components <= 1;
       break;
     }
     case QueryKind::kLeaderElection: {
-      LeaderElectionConfig lc;
-      lc.seed = request.seed;
-      lc.threads = config_.query_threads;
-      lc.obs = obs;
-      lc.cancel = &cancel;
-      lc.pool = pool_.get();
-      const LeaderResult res = elect_leader(cluster, lc);
+      const LeaderResult res = elect_leader(cluster, LeaderElectionConfig{runtime, request.seed});
       out.value = res.leader;
       out.verdict = true;
       break;
@@ -476,7 +455,9 @@ std::optional<QueryError> ClusterService::validate(const QueryRequest& request) 
   const auto invalid = [](std::string message) {
     return QueryError{QueryErrorCode::kInvalidArgument, std::move(message), 0, 0};
   };
-  if (needs_materialized(request.kind) && !dg_->materialized()) {
+  const auto kind = static_cast<std::size_t>(request.kind);
+  if (kind >= kQueryKindCount) return invalid("unknown query kind");
+  if (kQueryKinds[kind].needs_materialized && !dg_->materialized()) {
     return invalid(std::string(query_kind_name(request.kind)) +
                    " requires a materialized graph backend");
   }

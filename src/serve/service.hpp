@@ -27,6 +27,7 @@
 //     return kInvalidArgument up front.
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -69,6 +70,10 @@ enum class QueryKind : std::uint8_t {
   kVerifyECycle,
   kVerifyBipartite,
 };
+
+/// Number of QueryKind values; every kind is below it.
+inline constexpr std::size_t kQueryKindCount =
+    static_cast<std::size_t>(QueryKind::kVerifyBipartite) + 1;
 
 [[nodiscard]] const char* query_kind_name(QueryKind kind) noexcept;
 

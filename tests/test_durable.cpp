@@ -272,7 +272,7 @@ TEST(DurablePlane, KilledRunResumesBitIdentically) {
         plane.set_durable_store(&store);
         Cluster cluster(ClusterConfig{k, 64});
         DurableRing program(k, target);
-        Runtime rt(cluster, RuntimeConfig{threads, nullptr, &plane});
+        Runtime rt(cluster, RuntimeConfig{threads}, &plane);
         for (std::uint64_t s = 0; s < kill_after; ++s) (void)rt.step(program);
         ASSERT_FALSE(program.done());
         EXPECT_GT(plane.stats().durable_commits, 0u);
@@ -296,7 +296,7 @@ TEST(DurablePlane, KilledRunResumesBitIdentically) {
       plane.arm_resume(&rec.value().frame);
       Cluster cluster(ClusterConfig{k, 64});
       DurableRing program(k, target);
-      Runtime rt(cluster, RuntimeConfig{threads, nullptr, &plane});
+      Runtime rt(cluster, RuntimeConfig{threads}, &plane);
       (void)rt.run(program);
 
       EXPECT_TRUE(program.done()) << "threads=" << threads << " cadence=" << cadence;
@@ -492,7 +492,7 @@ std::vector<std::string> commit_two_generations(const std::string& dir) {
   plane.set_durable_store(&store);
   Cluster cluster(ClusterConfig{4, 64});
   DurableRing program(4, 12);
-  Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
+  Runtime rt(cluster, RuntimeConfig{1}, &plane);
   for (int s = 0; s < 7; ++s) (void)rt.step(program);  // commits at ordinals 0 and 4
   const auto gens = DurableStore::list_generations(dir);
   EXPECT_TRUE(gens.ok());

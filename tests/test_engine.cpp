@@ -14,7 +14,8 @@ TEST(Engine, PhaseCapStopsEarlyWithoutConvergence) {
   const Graph g = gen::path(256);  // needs ~log n phases
   Cluster cluster(ClusterConfig::for_graph(256, 4));
   const DistributedGraph dg(g, VertexPartition::random(256, 4, 1));
-  BoruvkaConfig cfg{.seed = 3};
+  BoruvkaConfig cfg;
+  cfg.seed = 3;
   cfg.max_phases = 1;
   const auto res = connected_components(cluster, dg, cfg);
   EXPECT_FALSE(res.converged);
@@ -71,7 +72,8 @@ TEST(Engine, SingleCopySketchStillCorrect) {
   const Graph g = gen::connected_gnm(120, 280, rng);
   Cluster cluster(ClusterConfig::for_graph(120, 4));
   const DistributedGraph dg(g, VertexPartition::random(120, 4, 19));
-  BoruvkaConfig cfg{.seed = 21};
+  BoruvkaConfig cfg;
+  cfg.seed = 21;
   cfg.sketch_copies = 1;
   const auto res = connected_components(cluster, dg, cfg);
   EXPECT_EQ(canonical_labels(res.labels), ref::component_labels(g));
@@ -83,7 +85,8 @@ TEST(Engine, CoordinatorPlusCoinFlipStillCorrect) {
   const Graph g = gen::gnm(100, 220, rng);
   Cluster cluster(ClusterConfig::for_graph(100, 4));
   const DistributedGraph dg(g, VertexPartition::random(100, 4, 25));
-  BoruvkaConfig cfg{.seed = 27};
+  BoruvkaConfig cfg;
+  cfg.seed = 27;
   cfg.single_coordinator = true;
   cfg.merge_rule = MergeRule::kCoinFlip;
   const auto res = connected_components(cluster, dg, cfg);
@@ -96,7 +99,8 @@ TEST(Engine, CountingToggleAgrees) {
   auto run = [&](bool count) {
     Cluster cluster(ClusterConfig::for_graph(120, 4));
     const DistributedGraph dg(g, VertexPartition::random(120, 4, 31));
-    BoruvkaConfig cfg{.seed = 33};
+    BoruvkaConfig cfg;
+    cfg.seed = 33;
     cfg.count_components = count;
     return connected_components(cluster, dg, cfg).num_components;
   };
@@ -159,7 +163,8 @@ TEST(Engine, DifferentKSameAnswerSameGraph) {
                             MachineId{29}}) {
     Cluster cluster(ClusterConfig::for_graph(200, k));
     const DistributedGraph dg(g, VertexPartition::random(200, k, split(49, k)));
-    BoruvkaConfig cfg{.seed = split(51, k)};
+    BoruvkaConfig cfg;
+    cfg.seed = split(51, k);
     const auto res = connected_components(cluster, dg, cfg);
     EXPECT_EQ(canonical_labels(res.labels), expected) << "k=" << k;
   }

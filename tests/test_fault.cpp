@@ -4,9 +4,9 @@
 // counts. The invariants pinned here (CI also runs this suite under TSan):
 //   * an attached plane with an empty schedule is ledger-bit-identical to
 //     no plane at all (the seam costs nothing when silent);
-//   * crash recovery (checkpoint/replay, state hooks, restart fallback)
-//     produces answers equal to the fault-free run, with the recovered
-//     ledger identical for every thread count;
+//   * crash recovery (checkpoint/replay, state hooks) produces answers
+//     equal to the fault-free run, with the recovered ledger identical for
+//     every thread count;
 //   * lossy links (drops, duplicates, reorders) never change answers —
 //     their entire effect is deterministic extra rounds;
 //   * corruption is NOT recovered: it must be *caught* downstream by the
@@ -432,7 +432,7 @@ TEST(FaultPlane, CheckpointReplayRebuildsCrashedMachines) {
 
     Cluster cluster(ClusterConfig{k, 64});
     RingCounter program(k, target);
-    Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
+    Runtime rt(cluster, RuntimeConfig{1}, &plane);
     (void)rt.run(program);
 
     EXPECT_TRUE(program.done()) << "cadence=" << cadence;
@@ -450,71 +450,6 @@ TEST(FaultPlane, CheckpointReplayRebuildsCrashedMachines) {
   }
 }
 
-// ----------------------------------------------- restart fallback (rule 8c)
-
-/// Same ring protocol, but recoverable only by restarting the whole phase.
-class RestartableRing final : public MachineProgram {
- public:
-  RestartableRing(MachineId k, std::uint64_t target) : k_(k), target_(target),
-                                                       value_(k, 0), steps_(k, 0) {}
-
-  void on_superstep(MachineId self, std::span<const Message> inbox, Outbox& out) override {
-    for (const Message& m : inbox) value_[self] = split(value_[self], m.payload()[0]);
-    if (steps_[self] < target_) {
-      out.send((self + 1) % k_, 1, {split(value_[self] + steps_[self], self)}, 64);
-      ++steps_[self];
-    }
-  }
-  [[nodiscard]] bool done() const override {
-    for (MachineId m = 0; m < k_; ++m) {
-      if (steps_[m] < target_) return false;
-    }
-    return true;
-  }
-  [[nodiscard]] bool reset() override {
-    std::fill(value_.begin(), value_.end(), 0);
-    std::fill(steps_.begin(), steps_.end(), 0);
-    return true;
-  }
-
-  [[nodiscard]] const std::vector<std::uint64_t>& values() const noexcept { return value_; }
-
- private:
-  MachineId k_;
-  std::uint64_t target_;
-  std::vector<std::uint64_t> value_;
-  std::vector<std::uint64_t> steps_;
-};
-
-TEST(FaultPlane, RestartFallbackReplaysThePhaseFromScratch) {
-  const MachineId k = 4;
-  const std::uint64_t target = 10;
-
-  Cluster clean_cluster(ClusterConfig{k, 64});
-  RestartableRing clean(k, target);
-  Runtime clean_rt(clean_cluster);
-  (void)clean_rt.run(clean);
-  ASSERT_TRUE(clean.done());
-
-  FaultSchedule sched(23);
-  sched.add_crash(4, 1);
-  FaultPlane plane(sched);
-  Cluster cluster(ClusterConfig{k, 64});
-  RestartableRing program(k, target);
-  Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
-  (void)rt.run(program);
-
-  EXPECT_TRUE(program.done());
-  EXPECT_EQ(program.values(), clean.values());
-  const FaultStats fs = plane.stats();
-  EXPECT_EQ(fs.restarts, 1u);
-  EXPECT_EQ(fs.crashes, 1u);
-  EXPECT_EQ(fs.restores, 0u);
-  // The phase ran 1 + target supersteps of real work (4 before the restart
-  // were wasted): more delivery rounds than the clean run.
-  EXPECT_GT(cluster.stats().rounds, clean_cluster.stats().rounds);
-}
-
 // --------------------------------------------------- rule 8 is enforced
 
 TEST(FaultPlaneDeathTest, UnrecoverableProgramAbortsWithRule8) {
@@ -523,9 +458,9 @@ TEST(FaultPlaneDeathTest, UnrecoverableProgramAbortsWithRule8) {
   sched.add_crash(0, 2);
   FaultPlane plane(sched);
   Cluster cluster(ClusterConfig{k, 64});
-  Runtime rt(cluster, RuntimeConfig{1, nullptr, &plane});
-  // An ad-hoc lambda step with no hooks registered: not checkpointable, no
-  // restore hook, no reset() — nothing the plane can recover with.
+  Runtime rt(cluster, RuntimeConfig{1}, &plane);
+  // An ad-hoc lambda step with no hooks registered: not checkpointable and
+  // no restore hook — nothing the plane can recover with.
   EXPECT_DEATH((void)rt.step([](MachineId self, std::span<const Message>, Outbox& out) {
                  out.send((self + 1) % 4, 1, {std::uint64_t{1}}, 64);
                }),

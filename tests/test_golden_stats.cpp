@@ -118,21 +118,21 @@ std::vector<GoldenCase> golden_cases() {
     add(std::string("flooding/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      (void)flooding_connectivity(c, dg, FloodingConfig{.threads = threads});
+      (void)flooding_connectivity(c, dg, FloodingConfig{{.threads = threads}});
       return c.stats();
     });
 
     add(std::string("resumable_flood/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      (void)resumable_flood_connectivity(c, dg, ResumableFloodConfig{.threads = threads});
+      (void)resumable_flood_connectivity(c, dg, ResumableFloodConfig{{.threads = threads}});
       return c.stats();
     });
 
     add(std::string("referee/") + gname, [g](unsigned threads) {
       Cluster c = fresh_cluster(g.num_vertices());
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
-      (void)referee_connectivity(c, dg, RefereeConfig{.threads = threads});
+      (void)referee_connectivity(c, dg, RefereeConfig{{.threads = threads}});
       return c.stats();
     });
 
@@ -196,7 +196,7 @@ std::vector<GoldenCase> golden_cases() {
 
   add("leader_election", [](unsigned threads) {
     Cluster c = fresh_cluster(4);
-    (void)elect_leader(c, LeaderElectionConfig{.seed = 42, .threads = threads});
+    (void)elect_leader(c, LeaderElectionConfig{{.threads = threads}, 42});
     return c.stats();
   });
 

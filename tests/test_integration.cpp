@@ -126,7 +126,7 @@ TEST(Integration, SuperlinearSpeedupInK) {
     Cluster c(ClusterConfig::for_graph(n, k));
     const DistributedGraph dg(g, VertexPartition::random(n, k, 11));
     return static_cast<double>(
-        referee_connectivity(c, dg, RefereeConfig{.broadcast_labels = false}).stats.rounds);
+        referee_connectivity(c, dg, RefereeConfig{{}, /*broadcast_labels=*/false}).stats.rounds);
   };
   const double conn_ratio = run_conn(4) / run_conn(16);
   const double referee_ratio = run_referee(4) / run_referee(16);

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <utility>
 #include <vector>
 
 #include "kmm.hpp"
@@ -44,63 +46,93 @@ TEST(ObsPlane, TimelineRowsSumToFinalLedgerAcrossThreads) {
   const Graph g = test_graph();
   const std::size_t n = g.num_vertices();
   const MachineId k = 8;
+  const Vertex x = g.edges().front().u;
+  const Vertex y = g.edges().front().v;
+  const std::vector<std::pair<Vertex, Vertex>> no_edges;
 
-  std::vector<std::vector<LedgerRow>> per_thread_rows;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    Cluster cluster(ClusterConfig::for_graph(n, k));
-    const DistributedGraph dg(g, VertexPartition::random(n, k, 7));
-    MetricsTimeline timeline(full_res());
-    TraceRecorder trace;
-    const ObsSink sink{&timeline, &trace};
+  // Connectivity, and the four verifiers that end in a distributed label
+  // comparison on a Runtime of its own: its two inline steps must reach the
+  // caller's timeline like every other superstep.
+  using Run = std::function<void(Cluster&, const DistributedGraph&, const BoruvkaConfig&)>;
+  const std::vector<std::pair<const char*, Run>> runs = {
+      {"connectivity",
+       [](Cluster& c, const DistributedGraph& d, const BoruvkaConfig& cfg) {
+         EXPECT_TRUE(connected_components(c, d, cfg).converged);
+       }},
+      {"st_connectivity",
+       [](Cluster& c, const DistributedGraph& d, const BoruvkaConfig& cfg) {
+         (void)verify_st_connectivity(c, d, 0, 100, cfg);
+       }},
+      {"edge_on_all_paths",
+       [&](Cluster& c, const DistributedGraph& d, const BoruvkaConfig& cfg) {
+         (void)verify_edge_on_all_paths(c, d, 0, 100, x, y, cfg);
+       }},
+      {"st_cut",
+       [&](Cluster& c, const DistributedGraph& d, const BoruvkaConfig& cfg) {
+         (void)verify_st_cut(c, d, 0, 100, no_edges, cfg);
+       }},
+      {"e_cycle",
+       [&](Cluster& c, const DistributedGraph& d, const BoruvkaConfig& cfg) {
+         (void)verify_e_cycle_containment(c, d, x, y, cfg);
+       }},
+  };
+  for (const auto& [name, run] : runs) {
+    std::vector<std::vector<LedgerRow>> per_thread_rows;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      Cluster cluster(ClusterConfig::for_graph(n, k));
+      const DistributedGraph dg(g, VertexPartition::random(n, k, 7));
+      MetricsTimeline timeline(full_res());
+      TraceRecorder trace;
+      const ObsSink sink{&timeline, &trace};
 
-    BoruvkaConfig cfg;
-    cfg.seed = 99;
-    cfg.threads = threads;
-    cfg.obs = &sink;
-    const auto res = connected_components(cluster, dg, cfg);
-    EXPECT_TRUE(res.converged);
+      BoruvkaConfig cfg;
+      cfg.seed = 99;
+      cfg.threads = threads;
+      cfg.obs = &sink;
+      run(cluster, dg, cfg);
 
-    const ClusterStats& s = cluster.stats();
-    // One row per *ledger* superstep, free steps notwithstanding.
-    ASSERT_EQ(timeline.size(), s.supersteps) << "threads=" << threads;
+      const ClusterStats& s = cluster.stats();
+      // One row per *ledger* superstep, free steps notwithstanding.
+      ASSERT_EQ(timeline.size(), s.supersteps) << name << " threads=" << threads;
 
-    // The rows decompose the final ledger exactly (charge_rounds included).
-    const auto total = timeline.totals();
-    EXPECT_EQ(total.rounds, s.rounds) << "threads=" << threads;
-    EXPECT_EQ(total.messages, s.messages) << "threads=" << threads;
-    EXPECT_EQ(total.local_messages, s.local_messages) << "threads=" << threads;
-    EXPECT_EQ(total.bits, s.total_bits) << "threads=" << threads;
-    EXPECT_EQ(total.cut_bits, s.cut_bits) << "threads=" << threads;
-    EXPECT_EQ(total.link_max_bits, s.max_link_bits) << "threads=" << threads;
+      // The rows decompose the final ledger exactly (charge_rounds included).
+      const auto total = timeline.totals();
+      EXPECT_EQ(total.rounds, s.rounds) << name << " threads=" << threads;
+      EXPECT_EQ(total.messages, s.messages) << name << " threads=" << threads;
+      EXPECT_EQ(total.local_messages, s.local_messages) << name << " threads=" << threads;
+      EXPECT_EQ(total.bits, s.total_bits) << name << " threads=" << threads;
+      EXPECT_EQ(total.cut_bits, s.cut_bits) << name << " threads=" << threads;
+      EXPECT_EQ(total.link_max_bits, s.max_link_bits) << name << " threads=" << threads;
 
-    // Per-machine traffic columns decompose the per-machine ledger arrays.
-    std::vector<std::uint64_t> sent(k, 0), received(k, 0);
-    for (std::size_t i = 0; i < timeline.size(); ++i) {
-      const auto row_sent = timeline.sent_bits(i);
-      const auto row_recv = timeline.received_bits(i);
-      ASSERT_EQ(row_sent.size(), k);
-      ASSERT_EQ(row_recv.size(), k);
-      for (MachineId m = 0; m < k; ++m) {
-        sent[m] += row_sent[m];
-        received[m] += row_recv[m];
+      // Per-machine traffic columns decompose the per-machine ledger arrays.
+      std::vector<std::uint64_t> sent(k, 0), received(k, 0);
+      for (std::size_t i = 0; i < timeline.size(); ++i) {
+        const auto row_sent = timeline.sent_bits(i);
+        const auto row_recv = timeline.received_bits(i);
+        ASSERT_EQ(row_sent.size(), k);
+        ASSERT_EQ(row_recv.size(), k);
+        for (MachineId m = 0; m < k; ++m) {
+          sent[m] += row_sent[m];
+          received[m] += row_recv[m];
+        }
       }
-    }
-    EXPECT_EQ(sent, s.sent_bits_by_machine) << "threads=" << threads;
-    EXPECT_EQ(received, s.received_bits_by_machine) << "threads=" << threads;
+      EXPECT_EQ(sent, s.sent_bits_by_machine) << name << " threads=" << threads;
+      EXPECT_EQ(received, s.received_bits_by_machine) << name << " threads=" << threads;
 
-    // Ledger columns of every row are thread-invariant (phase ns are not).
-    std::vector<LedgerRow> rows;
-    rows.reserve(timeline.size());
-    for (std::size_t i = 0; i < timeline.size(); ++i) {
-      const auto& r = timeline.row(i);
-      rows.push_back(LedgerRow{r.superstep, r.rounds, r.messages, r.local_messages,
-                               r.bits, r.link_max_bits});
+      // Ledger columns of every row are thread-invariant (phase ns are not).
+      std::vector<LedgerRow> rows;
+      rows.reserve(timeline.size());
+      for (std::size_t i = 0; i < timeline.size(); ++i) {
+        const auto& r = timeline.row(i);
+        rows.push_back(LedgerRow{r.superstep, r.rounds, r.messages, r.local_messages,
+                                 r.bits, r.link_max_bits});
+      }
+      per_thread_rows.push_back(std::move(rows));
     }
-    per_thread_rows.push_back(std::move(rows));
+    ASSERT_EQ(per_thread_rows.size(), 3u);
+    EXPECT_EQ(per_thread_rows[0], per_thread_rows[1]) << name;
+    EXPECT_EQ(per_thread_rows[0], per_thread_rows[2]) << name;
   }
-  ASSERT_EQ(per_thread_rows.size(), 3u);
-  EXPECT_EQ(per_thread_rows[0], per_thread_rows[1]);
-  EXPECT_EQ(per_thread_rows[0], per_thread_rows[2]);
 }
 
 TEST(ObsPlane, SequentialRuntimesConcatenateOnOneTimeline) {
@@ -118,7 +150,7 @@ TEST(ObsPlane, SequentialRuntimesConcatenateOnOneTimeline) {
   cfg.obs = &sink;
   const auto mst = minimum_spanning_forest(cluster, dg, cfg);
   const std::size_t rows_after_mst = timeline.size();
-  const auto strict = announce_mst_to_home_machines(cluster, dg, mst, 2, &sink);
+  const auto strict = announce_mst_to_home_machines(cluster, dg, mst, cfg);
   EXPECT_FALSE(strict.edges_by_home.empty());
 
   // The announce pass appended its charged supersteps to the same timeline

@@ -221,7 +221,8 @@ struct LedgeredRun {
 LedgeredRun run_connectivity_with_threads(const Graph& g, MachineId k, unsigned threads) {
   Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), k));
   const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), k, 99));
-  BoruvkaConfig cfg{.seed = 1234};
+  BoruvkaConfig cfg;
+  cfg.seed = 1234;
   cfg.threads = threads;
   auto result = connected_components(cluster, dg, cfg);
   return LedgeredRun{std::move(result), cluster.stats()};
@@ -230,7 +231,8 @@ LedgeredRun run_connectivity_with_threads(const Graph& g, MachineId k, unsigned 
 LedgeredRun run_mst_with_threads(const Graph& g, MachineId k, unsigned threads) {
   Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), k));
   const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), k, 99));
-  BoruvkaConfig cfg{.seed = 4321};
+  BoruvkaConfig cfg;
+  cfg.seed = 4321;
   cfg.threads = threads;
   auto result = minimum_spanning_forest(cluster, dg, cfg);
   return LedgeredRun{std::move(result), cluster.stats()};
@@ -304,10 +306,11 @@ TEST(RuntimeDeterminism, AnnounceMstLedgerIdenticalAcrossThreadCounts) {
     const auto run_announce = [&](unsigned threads) {
       Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), 8));
       const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), 8, 99));
-      BoruvkaConfig cfg{.seed = 4321};
+      BoruvkaConfig cfg;
+      cfg.seed = 4321;
       cfg.threads = threads;
       const auto mst = minimum_spanning_forest(cluster, dg, cfg);
-      auto strict = announce_mst_to_home_machines(cluster, dg, mst, threads);
+      auto strict = announce_mst_to_home_machines(cluster, dg, mst, cfg);
       return std::pair{std::move(strict), cluster.stats()};
     };
     const auto baseline = run_announce(1);
@@ -333,7 +336,8 @@ TEST(RuntimeDeterminism, CutBitsTrackedIdenticallyAcrossThreadCounts) {
     for (MachineId i = 4; i < 8; ++i) side[i] = 1;
     cluster.track_cut(side);
     const DistributedGraph dg(g, VertexPartition::random(400, 8, 5));
-    BoruvkaConfig cfg{.seed = 77};
+    BoruvkaConfig cfg;
+    cfg.seed = 77;
     cfg.threads = threads;
     (void)connected_components(cluster, dg, cfg);
     return cluster.stats();
@@ -365,7 +369,7 @@ TEST(RuntimeDeterminism, FloodingLedgerIdenticalAcrossThreadCounts) {
     FloodingResult baseline_res;
     const auto baseline = run_on_fresh_cluster(
         graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
-          baseline_res = flooding_connectivity(c, dg, FloodingConfig{.threads = 1});
+          baseline_res = flooding_connectivity(c, dg, FloodingConfig{{.threads = 1}});
         });
     EXPECT_TRUE(baseline_res.converged) << kInputNames[gi];
     EXPECT_EQ(std::vector<Vertex>(baseline_res.labels.begin(), baseline_res.labels.end()),
@@ -375,7 +379,7 @@ TEST(RuntimeDeterminism, FloodingLedgerIdenticalAcrossThreadCounts) {
       FloodingResult res;
       const auto stats = run_on_fresh_cluster(
           graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
-            res = flooding_connectivity(c, dg, FloodingConfig{.threads = threads});
+            res = flooding_connectivity(c, dg, FloodingConfig{{.threads = threads}});
           });
       EXPECT_EQ(res.labels, baseline_res.labels) << kInputNames[gi] << " threads=" << threads;
       EXPECT_EQ(res.num_components, baseline_res.num_components)
@@ -393,7 +397,7 @@ TEST(RuntimeDeterminism, RefereeLedgerIdenticalAcrossThreadCounts) {
     RefereeResult baseline_res;
     const auto baseline = run_on_fresh_cluster(
         graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
-          baseline_res = referee_connectivity(c, dg, RefereeConfig{.threads = 1});
+          baseline_res = referee_connectivity(c, dg, RefereeConfig{{.threads = 1}});
         });
     EXPECT_EQ(std::vector<Vertex>(baseline_res.labels.begin(), baseline_res.labels.end()),
               ref::component_labels(graphs[gi]))
@@ -402,7 +406,7 @@ TEST(RuntimeDeterminism, RefereeLedgerIdenticalAcrossThreadCounts) {
       RefereeResult res;
       const auto stats = run_on_fresh_cluster(
           graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
-            res = referee_connectivity(c, dg, RefereeConfig{.threads = threads});
+            res = referee_connectivity(c, dg, RefereeConfig{{.threads = threads}});
           });
       EXPECT_EQ(res.labels, baseline_res.labels) << kInputNames[gi] << " threads=" << threads;
       EXPECT_EQ(res.num_components, baseline_res.num_components)
@@ -416,13 +420,13 @@ TEST(RuntimeDeterminism, LeaderElectionLedgerIdenticalAcrossThreadCounts) {
   LeaderResult baseline_res;
   const auto baseline =
       run_on_fresh_cluster(Graph(4, {}), 8, [&](Cluster& c, const DistributedGraph&) {
-        baseline_res = elect_leader(c, LeaderElectionConfig{.seed = 42, .threads = 1});
+        baseline_res = elect_leader(c, LeaderElectionConfig{{.threads = 1}, 42});
       });
   for (const unsigned threads : {2u, 8u}) {
     LeaderResult res;
     const auto stats =
         run_on_fresh_cluster(Graph(4, {}), 8, [&](Cluster& c, const DistributedGraph&) {
-          res = elect_leader(c, LeaderElectionConfig{.seed = 42, .threads = threads});
+          res = elect_leader(c, LeaderElectionConfig{{.threads = threads}, 42});
         });
     EXPECT_EQ(res.leader, baseline_res.leader) << "threads=" << threads;
     expect_stats_identical(stats, baseline, "leader");
@@ -468,7 +472,8 @@ TEST(RuntimeDeterminism, TwoEdgeLedgerIdenticalAcrossThreadCounts) {
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const auto run = [&](unsigned threads, TwoEdgeResult& res) {
       return run_on_fresh_cluster(graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
-        BoruvkaConfig cfg{.seed = 77};
+        BoruvkaConfig cfg;
+        cfg.seed = 77;
         cfg.threads = threads;
         res = two_edge_connectivity(c, dg, cfg);
       });
@@ -498,7 +503,8 @@ TEST(RuntimeDeterminism, VerificationLedgerIdenticalAcrossThreadCounts) {
     const Vertex t = static_cast<Vertex>(graphs[gi].num_vertices() - 2);
     const auto run = [&](unsigned threads, VerifyResult& st, VerifyResult& cyc) {
       return run_on_fresh_cluster(graphs[gi], 8, [&](Cluster& c, const DistributedGraph& dg) {
-        BoruvkaConfig cfg{.seed = 31};
+        BoruvkaConfig cfg;
+        cfg.seed = 31;
         cfg.threads = threads;
         st = verify_st_connectivity(c, dg, s, t, cfg);
         cyc = verify_cycle_containment(c, dg, cfg);
@@ -526,7 +532,8 @@ TEST(RuntimeDeterminism, RepMstLedgerIdenticalAcrossThreadCounts) {
     const auto ep = EdgePartition::random(g.num_edges(), 8, split(21, gi));
     const auto run = [&](unsigned threads, RepMstResult& res) {
       return run_on_fresh_cluster(g, 8, [&](Cluster& c, const DistributedGraph&) {
-        BoruvkaConfig cfg{.seed = 1717};
+        BoruvkaConfig cfg;
+        cfg.seed = 1717;
         cfg.threads = threads;
         res = rep_model_mst(c, g, ep, split(23, gi), cfg);
       });
@@ -555,7 +562,8 @@ TEST(RuntimeDeterminism, RepConnectivityLedgerIdenticalAcrossThreadCounts) {
     const auto ep = EdgePartition::random(g.num_edges(), 8, split(25, gi));
     const auto run = [&](unsigned threads, RepConnectivityResult& res) {
       return run_on_fresh_cluster(g, 8, [&](Cluster& c, const DistributedGraph&) {
-        BoruvkaConfig cfg{.seed = 2929};
+        BoruvkaConfig cfg;
+        cfg.seed = 2929;
         cfg.threads = threads;
         res = rep_model_connectivity(c, g, ep, split(27, gi), cfg);
       });

@@ -417,6 +417,13 @@ TEST(ClusterService, InvalidArgumentsAreFrontLoaded) {
   ASSERT_FALSE(e.ok());
   EXPECT_EQ(e.error().code, QueryErrorCode::kInvalidArgument);
 
+  QueryRequest bad_kind;
+  bad_kind.kind = static_cast<QueryKind>(kQueryKindCount);
+  const QueryOutcome b = service.run_query(bad_kind);
+  ASSERT_FALSE(b.ok());
+  EXPECT_EQ(b.error().code, QueryErrorCode::kInvalidArgument);
+  EXPECT_STREQ(query_kind_name(bad_kind.kind), "unknown");
+
   // Shard-direct backend: global-recourse kinds are structurally
   // unanswerable and must say so instead of aborting in graph().
   ShardedAdjacency sharded;
@@ -469,15 +476,27 @@ TEST(ClusterService, RecordsPerQueryTimelines) {
   ServiceConfig cfg = small_service_config();
   cfg.record_timelines = true;
   ClusterService service(dg, cfg);
-  QueryRequest req;
-  req.kind = QueryKind::kFlooding;
-  const auto ticket = service.submit(std::move(req));
-  const QueryOutcome& outcome = ticket->wait();
-  ASSERT_TRUE(outcome.ok());
-  const MetricsTimeline* timeline = service.timeline(ticket->id());
-  ASSERT_NE(timeline, nullptr);
-  EXPECT_GT(timeline->size(), 0u);
-  EXPECT_LE(timeline->size(), outcome.value().supersteps);
+  // kVerifyStConnectivity ends in labels_equal's two inline steps, which
+  // must land on the query's timeline like the connectivity run before them.
+  for (const QueryKind kind : {QueryKind::kFlooding, QueryKind::kVerifyStConnectivity}) {
+    QueryRequest req;
+    req.kind = kind;
+    req.s = 0;
+    req.t = 100;
+    const auto ticket = service.submit(std::move(req));
+    const QueryOutcome& outcome = ticket->wait();
+    ASSERT_TRUE(outcome.ok()) << query_kind_name(kind);
+    const MetricsTimeline* timeline = service.timeline(ticket->id());
+    ASSERT_NE(timeline, nullptr) << query_kind_name(kind);
+    EXPECT_GT(timeline->size(), 0u) << query_kind_name(kind);
+    EXPECT_LE(timeline->size(), outcome.value().supersteps) << query_kind_name(kind);
+    const ClusterStats& ledger = outcome.value().ledger;
+    EXPECT_EQ(timeline->size(), ledger.supersteps) << query_kind_name(kind);
+    const auto total = timeline->totals();
+    EXPECT_EQ(total.rounds, ledger.rounds) << query_kind_name(kind);
+    EXPECT_EQ(total.messages, ledger.messages) << query_kind_name(kind);
+    EXPECT_EQ(total.bits, ledger.total_bits) << query_kind_name(kind);
+  }
   EXPECT_EQ(service.timeline(9999), nullptr);
 }
 

@@ -128,7 +128,8 @@ TEST_P(VerifySweepWide, CutAndScsAgainstReference) {
   const Graph g = gen::connected_gnm(n, 2 * n, rng);
   Cluster cluster(ClusterConfig::for_graph(n, 4));
   const DistributedGraph dg(g, VertexPartition::random(n, 4, split(seed, 1)));
-  const BoruvkaConfig cfg{.seed = split(seed, 2)};
+  BoruvkaConfig cfg;
+  cfg.seed = split(seed, 2);
 
   // Random edge subset as a cut candidate; reference decides.
   std::vector<std::pair<Vertex, Vertex>> subset;

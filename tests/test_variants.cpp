@@ -21,7 +21,8 @@ TEST(CoinFlipMerge, MatchesReferenceAcrossFamilies) {
     Cluster cluster(ClusterConfig::for_graph(g.num_vertices(), 8));
     const DistributedGraph dg(
         g, VertexPartition::random(g.num_vertices(), 8, split(3, i)));
-    BoruvkaConfig cfg{.seed = split(5, i)};
+    BoruvkaConfig cfg;
+    cfg.seed = split(5, i);
     cfg.merge_rule = MergeRule::kCoinFlip;
     const auto res = connected_components(cluster, dg, cfg);
     EXPECT_EQ(canonical_labels(res.labels), ref::component_labels(g)) << "family " << i;
@@ -37,7 +38,8 @@ TEST(CoinFlipMerge, TreesHaveDepthOne) {
   const Graph g = gen::connected_gnm(300, 700, rng);
   Cluster cluster(ClusterConfig::for_graph(300, 8));
   const DistributedGraph dg(g, VertexPartition::random(300, 8, 9));
-  BoruvkaConfig cfg{.seed = 11};
+  BoruvkaConfig cfg;
+  cfg.seed = 11;
   cfg.merge_rule = MergeRule::kCoinFlip;
   const auto res = connected_components(cluster, dg, cfg);
   EXPECT_LE(res.max_merge_iterations, 1u);
@@ -54,7 +56,8 @@ TEST(CoinFlipMerge, UsesMorePhasesThanDrr) {
     for (const MergeRule rule : {MergeRule::kDrr, MergeRule::kCoinFlip}) {
       Cluster cluster(ClusterConfig::for_graph(512, 8));
       const DistributedGraph dg(g, VertexPartition::random(512, 8, split(15, trial)));
-      BoruvkaConfig cfg{.seed = split(17, trial)};
+      BoruvkaConfig cfg;
+      cfg.seed = split(17, trial);
       cfg.merge_rule = rule;
       const auto res = connected_components(cluster, dg, cfg);
       (rule == MergeRule::kDrr ? drr_phases : coin_phases) +=
@@ -70,7 +73,8 @@ TEST(CoinFlipMerge, MstStillExact) {
       with_random_weights(gen::connected_gnm(100, 260, rng), rng));
   Cluster cluster(ClusterConfig::for_graph(100, 4));
   const DistributedGraph dg(g, VertexPartition::random(100, 4, 21));
-  BoruvkaConfig cfg{.seed = 23};
+  BoruvkaConfig cfg;
+  cfg.seed = 23;
   cfg.merge_rule = MergeRule::kCoinFlip;
   const auto res = minimum_spanning_forest(cluster, dg, cfg);
   const auto expected = ref::minimum_spanning_forest(g);
@@ -90,7 +94,9 @@ TEST(Coordinator, CorrectButCongested) {
   const DistributedGraph d1(g, part);
   // Disable the (identical-in-both-modes) randomness-relay charge so the
   // comparison isolates the routing difference.
-  BoruvkaConfig proxies{.seed = 29, .charge_randomness = false};
+  BoruvkaConfig proxies;
+  proxies.seed = 29;
+  proxies.charge_randomness = false;
   const auto rp = connected_components(c1, d1, proxies);
 
   Cluster c2(ClusterConfig::for_graph(512, 16));
@@ -164,14 +170,14 @@ TEST(StrictOutput, StarCentersHomePaysTheBill) {
 TEST(LeaderElection, AllMachinesAgree) {
   for (const MachineId k : {MachineId{2}, MachineId{5}, MachineId{16}}) {
     Cluster cluster(ClusterConfig::for_graph(1024, k));
-    const auto a = elect_leader(cluster, LeaderElectionConfig{.seed = 42});
+    const auto a = elect_leader(cluster, LeaderElectionConfig{{}, 42});
     EXPECT_LT(a.leader, k);
     // O(1) rounds, k(k-1) messages.
     EXPECT_LE(a.stats.rounds, 4u);
     EXPECT_EQ(a.stats.messages, static_cast<std::uint64_t>(k) * (k - 1));
     // Deterministic given the seed.
     Cluster cluster2(ClusterConfig::for_graph(1024, k));
-    EXPECT_EQ(elect_leader(cluster2, LeaderElectionConfig{.seed = 42}).leader, a.leader);
+    EXPECT_EQ(elect_leader(cluster2, LeaderElectionConfig{{}, 42}).leader, a.leader);
   }
 }
 
@@ -179,7 +185,7 @@ TEST(LeaderElection, DifferentSeedsMoveTheLeader) {
   std::set<MachineId> leaders;
   for (std::uint64_t seed = 0; seed < 32; ++seed) {
     Cluster cluster(ClusterConfig::for_graph(64, 8));
-    leaders.insert(elect_leader(cluster, LeaderElectionConfig{.seed = seed}).leader);
+    leaders.insert(elect_leader(cluster, LeaderElectionConfig{{}, seed}).leader);
   }
   EXPECT_GE(leaders.size(), 4u);  // the choice is genuinely random
 }
