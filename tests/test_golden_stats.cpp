@@ -155,6 +155,28 @@ std::vector<GoldenCase> golden_cases() {
       return c.stats();
     });
 
+    // The six verifiers that run connectivity on a derived subgraph: the
+    // requested subgraph, G minus an edge set, and the double cover.
+    add(std::string("verify_derived/") + gname, [g](unsigned threads) {
+      Cluster c = fresh_cluster(g.num_vertices());
+      const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
+      BoruvkaConfig cfg;
+      cfg.seed = 53;
+      cfg.threads = threads;
+      const Vertex s = 0;
+      const Vertex t = static_cast<Vertex>(g.num_vertices() - 1);
+      const auto [x, y] = std::pair{g.edges().front().u, g.edges().front().v};
+      std::vector<std::pair<Vertex, Vertex>> edges;
+      for (std::size_t i = 0; i < 8; ++i) edges.emplace_back(g.edges()[i].u, g.edges()[i].v);
+      (void)verify_spanning_connected_subgraph(c, dg, edges, cfg);
+      (void)verify_cut(c, dg, edges, cfg);
+      (void)verify_edge_on_all_paths(c, dg, s, t, x, y, cfg);
+      (void)verify_st_cut(c, dg, s, t, edges, cfg);
+      (void)verify_e_cycle_containment(c, dg, x, y, cfg);
+      (void)verify_bipartiteness(c, dg, cfg);
+      return c.stats();
+    });
+
     add(std::string("rep_mst/") + gname, [g, gname = std::string(gname)](unsigned threads) {
       const std::size_t gi = gname == "path" ? 0 : gname == "gnm" ? 1 : 2;
       Rng wrng(split(19, gi));
@@ -216,6 +238,7 @@ constexpr GoldenRow kGolden[] = {
     {"referee/path", 60u, 2u, 1047u, 76u, 37692u, 2952u, 0u},
     {"two_edge/path", 10068u, 223u, 15130u, 2110u, 27145516u, 153595u, 0u},
     {"verify_st+cycle/path", 17804u, 404u, 21362u, 2824u, 43816383u, 162630u, 0u},
+    {"verify_derived/path", 71479u, 1410u, 89339u, 12398u, 183646702u, 310992u, 0u},
     {"rep_mst/path", 17969u, 257u, 23096u, 3222u, 49729034u, 155839u, 0u},
     {"rep_connectivity/path", 8212u, 186u, 11483u, 1600u, 21549752u, 144560u, 0u},
     {"connectivity/gnm", 9662u, 208u, 13365u, 1839u, 25643489u, 209660u, 0u},
@@ -225,6 +248,7 @@ constexpr GoldenRow kGolden[] = {
     {"referee/gnm", 159u, 2u, 2783u, 317u, 100188u, 11736u, 0u},
     {"two_edge/gnm", 10651u, 217u, 14524u, 1933u, 27146736u, 209660u, 0u},
     {"verify_st+cycle/gnm", 21882u, 464u, 29728u, 4026u, 54941159u, 209660u, 0u},
+    {"verify_derived/gnm", 75321u, 1281u, 108097u, 14861u, 217674574u, 421560u, 0u},
     {"rep_mst/gnm", 42618u, 539u, 52627u, 7358u, 115820401u, 219190u, 0u},
     {"rep_connectivity/gnm", 9829u, 207u, 18830u, 2598u, 27083336u, 181070u, 0u},
     {"connectivity/rmat", 8647u, 189u, 12342u, 1714u, 21598249u, 239900u, 0u},
@@ -234,6 +258,7 @@ constexpr GoldenRow kGolden[] = {
     {"referee/rmat", 229u, 2u, 3449u, 441u, 124164u, 17640u, 0u},
     {"two_edge/rmat", 8105u, 164u, 12704u, 1747u, 21060667u, 220708u, 0u},
     {"verify_st+cycle/rmat", 17978u, 356u, 26874u, 3662u, 43809173u, 259092u, 0u},
+    {"verify_derived/rmat", 69330u, 1369u, 105816u, 14392u, 189490846u, 477495u, 0u},
     {"rep_mst/rmat", 32825u, 521u, 44209u, 6209u, 78664661u, 259092u, 0u},
     {"rep_connectivity/rmat", 8839u, 222u, 17794u, 2446u, 22102144u, 230304u, 0u},
     {"mincut/path", 10998u, 315u, 7916u, 999u, 11142345u, 64017u, 0u},
