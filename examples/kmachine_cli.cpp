@@ -17,9 +17,10 @@
 //               --metrics-out FILE (per-superstep metrics timeline JSON)
 //               --trace-out FILE (Chrome trace JSON for chrome://tracing)
 //               --stream-ingest (build per-machine shards straight from the
-//                 chunked generator stream — gnm/rmat only; the global edge
-//                 list and Graph are never materialized, so --verify and the
-//                 global-recourse algorithms are unavailable)
+//                 chunked generator stream — gnm/rmat only; every --algo and
+//                 --serve run on the shards, but the global edge list and
+//                 Graph are never materialized, so --verify is skipped and
+//                 --fault-profile is rejected)
 //               --mem-budget BYTES (per-machine shard byte cap for
 //                 --stream-ingest; ingest fails with a diagnostic exit when
 //                 any machine would exceed it)
@@ -115,7 +116,12 @@ struct Options {
                "  shedding, and — with --fault-profile crashes|chaos — seeded lethal\n"
                "  chaos with deterministic retry/backoff. Query #1 is a guaranteed\n"
                "  over-budget probe demonstrating a structured timeout. Outcomes are\n"
-               "  always structured (exit 0); --query-log writes them as JSON.\n",
+               "  always structured (exit 0); --query-log writes them as JSON.\n"
+               "\n"
+               "  --stream-ingest (gnm|rmat only) builds per-machine shards straight\n"
+               "  from the generator stream. Every --algo and --serve run on them;\n"
+               "  no global graph exists, so --verify is skipped and --input and\n"
+               "  --fault-profile are rejected.\n",
                argv0);
   std::exit(2);
 }
@@ -359,36 +365,33 @@ std::optional<FloodingResult> run_flood(const Options& opt, Cluster& cluster,
   return res;
 }
 
-/// The --stream-ingest path: per-machine shards are built straight from the
-/// chunked generator stream; no global edge list or Graph ever exists, so
-/// only the model-faithful algorithms (no global-recourse verifiers) run
-/// and --verify is structurally unavailable.
-int run_stream(const Options& opt) {
+/// The --stream-ingest build: per-machine shards straight from the chunked
+/// generator stream. No global edge list or Graph ever exists, so there is
+/// no sequential reference to --verify against. Exits 2 on flags it cannot
+/// honor and 1 when ingest fails.
+DistributedGraph stream_graph(const Options& opt) {
   const std::size_t n = opt.n;
   const std::size_t m = opt.m != 0 ? opt.m : 3 * opt.n;
-  kmmex::require_machines(opt.k, n, "--k");
+  if (!opt.input.empty()) {
+    std::fprintf(stderr,
+                 "error: --stream-ingest generates the graph shard-direct; "
+                 "--input is incompatible\n");
+    std::exit(2);
+  }
   if (opt.fault_profile != "none") {
     std::fprintf(stderr,
                  "error: --fault-profile is not supported with --stream-ingest "
                  "(the fault plane rides the superstep runtime; drop one flag)\n");
-    return 2;
+    std::exit(2);
   }
   if (opt.graph != "gnm" && opt.graph != "rmat") {
     std::fprintf(stderr,
                  "error: --stream-ingest supports --graph gnm|rmat (the chunked "
                  "streaming generators), got '%s'\n",
                  opt.graph.c_str());
-    return 2;
+    std::exit(2);
   }
-  const bool streamable_algo = opt.algo == "conn" || opt.algo == "mst" ||
-                               opt.algo == "flood" || opt.algo == "referee";
-  if (!streamable_algo) {
-    std::fprintf(stderr,
-                 "error: --stream-ingest supports --algo conn|mst|flood|referee; "
-                 "'%s' needs the global graph (drop --stream-ingest)\n",
-                 opt.algo.c_str());
-    return 2;
-  }
+  kmmex::require_machines(opt.k, n, "--k");
 
   gen::ParGenConfig gcfg;
   gcfg.seed = split(opt.seed, 0x9a4f);
@@ -407,66 +410,17 @@ int run_stream(const Options& opt) {
       n, VertexPartition::random(n, opt.k, split(opt.seed, 0x9a97)), stream, iopts);
   if (!ingest.ok()) {
     std::fprintf(stderr, "error: %s\n", ingest.error().message.c_str());
-    return 1;
+    std::exit(1);
   }
-  const DistributedGraph dg = std::move(ingest).value();
-  std::printf("graph=%s n=%zu m=%zu (stream-ingest) | k=%u seed=%llu\n",
-              opt.graph.c_str(), n, dg.num_edges(), opt.k,
-              static_cast<unsigned long long>(opt.seed));
-  std::printf("max shard bytes=%zu budget=%llu/machine\n", dg.max_shard_bytes(),
-              static_cast<unsigned long long>(opt.mem_budget));
-
-  ClusterConfig ccfg = ClusterConfig::for_graph(n, opt.k);
-  if (opt.bandwidth != 0) ccfg.bandwidth_bits = opt.bandwidth;
-  Cluster cluster(ccfg);
-  std::printf("bandwidth=%llu bits/link/round\n",
-              static_cast<unsigned long long>(cluster.bandwidth_bits()));
-
-  kmmex::ObsScope obs(opt.metrics_out.empty() ? nullptr : opt.metrics_out.c_str(),
-                      opt.trace_out.empty() ? nullptr : opt.trace_out.c_str(),
-                      opt.algo.c_str());
-
-  const RuntimeConfig runtime{opt.threads, obs.sink()};
-  BoruvkaConfig acfg{runtime};
-  acfg.seed = split(opt.seed, 0xa190);
-  acfg.single_coordinator = opt.coordinator;
-  acfg.merge_rule = opt.coinflip ? MergeRule::kCoinFlip : MergeRule::kDrr;
-
-  if (opt.algo == "conn") {
-    const auto res = connected_components(cluster, dg, acfg);
-    std::printf("components=%llu phases=%zu converged=%s\n",
-                static_cast<unsigned long long>(res.num_components), res.phases.size(),
-                res.converged ? "yes" : "no");
-    print_stats("conn", res.stats);
-  } else if (opt.algo == "mst") {
-    const auto res = minimum_spanning_forest(cluster, dg, acfg);
-    Weight total = 0;
-    for (const auto& e : res.mst_edges()) total += e.w;
-    std::printf("mst_edges=%zu total_weight=%llu phases=%zu\n", res.mst_edges().size(),
-                static_cast<unsigned long long>(total), res.phases.size());
-    print_stats("mst", res.stats);
-  } else if (opt.algo == "flood") {
-    if (!run_flood(opt, cluster, dg, FloodingConfig{runtime}, m)) return 1;
-  } else {  // referee
-    const auto res = referee_connectivity(cluster, dg, RefereeConfig{runtime});
-    std::printf("components=%llu\n", static_cast<unsigned long long>(res.num_components));
-    print_stats("referee", res.stats);
-  }
-  if (opt.verify) {
-    std::printf("verify: skipped (--stream-ingest never materializes the global graph)\n");
-  }
-  return 0;
+  return std::move(ingest).value();
 }
 
 /// The --serve path: one long-lived DistributedGraph, a mixed concurrent
 /// query workload cycling through every QueryKind, structured outcomes only.
 /// Query #1 is a deliberately over-budget probe (1 ms deadline, two-superstep
 /// cap) demonstrating that a blown budget is a clean error, not an abort.
-int run_serve(const Options& opt) {
-  const Graph g = make_graph(opt);
-  const std::size_t n = g.num_vertices();
-  kmmex::require_machines(opt.k, n, "--k");
-  const DistributedGraph dg(g, VertexPartition::random(n, opt.k, split(opt.seed, 0x9a97)));
+int run_serve(const Options& opt, const DistributedGraph& dg) {
+  const std::size_t n = dg.num_vertices();
 
   ServiceConfig scfg;
   scfg.k = opt.k;
@@ -524,7 +478,7 @@ int run_serve(const Options& opt) {
   }
 
   std::printf("serve: graph=%s n=%zu m=%zu | k=%u workers=%u queue<=%zu deadline=%llums\n",
-              opt.graph.c_str(), n, g.num_edges(), opt.k, scfg.workers, scfg.max_queue,
+              opt.graph.c_str(), n, dg.num_edges(), opt.k, scfg.workers, scfg.max_queue,
               static_cast<unsigned long long>(opt.deadline_ms));
   if (opt.fault_profile != "none") {
     std::printf("serve: chaos profile=%s kill_prob=%.2f seed=%llu\n",
@@ -541,16 +495,16 @@ int run_serve(const Options& opt) {
   }
 
   // Operands for the verifier kinds, drawn from the graph itself so they
-  // validate (an edgeless graph degrades to structured kInvalidArgument).
-  Vertex ex = 0, ey = 0;
-  if (!g.edges().empty()) {
-    ex = g.edges().front().u;
-    ey = g.edges().front().v;
-  }
+  // validate (an edgeless graph degrades to structured kInvalidArgument):
+  // the first 8 edges {u, v}, u < v, in ascending (u, v) order.
   std::vector<std::pair<Vertex, Vertex>> edge_operand;
-  for (std::size_t i = 0; i < g.edges().size() && i < 8; ++i) {
-    edge_operand.emplace_back(g.edges()[i].u, g.edges()[i].v);
+  for (Vertex u = 0; u < n && edge_operand.size() < 8; ++u) {
+    for (const HalfEdge he : dg.neighbors(u)) {
+      if (he.to > u && edge_operand.size() < 8) edge_operand.emplace_back(u, he.to);
+    }
   }
+  const auto [ex, ey] = edge_operand.empty() ? std::pair<Vertex, Vertex>{0, 0}
+                                             : edge_operand.front();
 
   std::vector<std::shared_ptr<QueryTicket>> tickets;
   tickets.reserve(opt.queries);
@@ -620,29 +574,31 @@ int run_serve(const Options& opt) {
 
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
-  if (opt.serve) {
-    if (opt.stream_ingest) {
-      std::fprintf(stderr,
-                   "error: --serve needs the materialized backend for its mixed "
-                   "workload (mincut/2ec/verifier kinds); drop --stream-ingest\n");
-      return 2;
-    }
-    return run_serve(opt);
-  }
+  // --stream-ingest changes only how dg is built. Without it the global
+  // Graph g backs dg and is the sequential reference --verify checks
+  // against; with it no g exists.
+  std::optional<Graph> g;
+  std::optional<DistributedGraph> dg;
   if (opt.stream_ingest) {
-    if (!opt.input.empty()) {
-      std::fprintf(stderr,
-                   "error: --stream-ingest generates the graph shard-direct; "
-                   "--input is incompatible\n");
-      return 2;
+    dg.emplace(stream_graph(opt));
+  } else {
+    g = make_graph(opt);
+    kmmex::require_machines(opt.k, g->num_vertices(), "--k");
+    if (opt.algo == "mst") {
+      Rng wrng(split(opt.seed, 0x3e16));
+      g = with_unique_weights(with_random_weights(*g, wrng, 1'000'000));
     }
-    return run_stream(opt);
+    dg.emplace(*g, VertexPartition::random(g->num_vertices(), opt.k, split(opt.seed, 0x9a97)));
   }
-  Graph g = make_graph(opt);
-  const std::size_t n = g.num_vertices();
-  kmmex::require_machines(opt.k, n, "--k");
-  std::printf("graph=%s n=%zu m=%zu | k=%u seed=%llu\n", opt.graph.c_str(), n,
-              g.num_edges(), opt.k, static_cast<unsigned long long>(opt.seed));
+  if (opt.serve) return run_serve(opt, *dg);
+  const std::size_t n = dg->num_vertices();
+  std::printf("graph=%s n=%zu m=%zu%s | k=%u seed=%llu\n", opt.graph.c_str(), n,
+              dg->num_edges(), g ? "" : " (stream-ingest)", opt.k,
+              static_cast<unsigned long long>(opt.seed));
+  if (!g) {
+    std::printf("max shard bytes=%zu budget=%llu/machine\n", dg->max_shard_bytes(),
+                static_cast<unsigned long long>(opt.mem_budget));
+  }
 
   ClusterConfig ccfg = ClusterConfig::for_graph(n, opt.k);
   if (opt.bandwidth != 0) ccfg.bandwidth_bits = opt.bandwidth;
@@ -690,57 +646,50 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(opt.fault_seed), opt.checkpoint_every);
   }
 
+  // Checks against the sequential reference run only when g exists.
+  const bool verify = opt.verify && g.has_value();
   if (opt.algo == "leader") {
     const auto res = elect_leader(cluster, LeaderElectionConfig{runtime, acfg.seed});
     std::printf("leader: machine %u\n", res.leader);
     print_stats("leader", res.stats);
-    return 0;
-  }
-
-  const DistributedGraph dg(g, VertexPartition::random(n, opt.k, split(opt.seed, 0x9a97)));
-
-  if (opt.algo == "conn") {
-    const auto res = connected_components(cluster, dg, acfg);
+  } else if (opt.algo == "conn") {
+    const auto res = connected_components(cluster, *dg, acfg);
     std::printf("components=%llu phases=%zu forest_edges=%zu converged=%s\n",
                 static_cast<unsigned long long>(res.num_components), res.phases.size(),
                 res.forest_edges().size(), res.converged ? "yes" : "no");
     print_stats("conn", res.stats);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
-    if (opt.verify) {
-      const bool ok = canonical_labels(res.labels) == ref::component_labels(g);
+    if (verify) {
+      const bool ok = canonical_labels(res.labels) == ref::component_labels(*g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "mst") {
-    Rng wrng(split(opt.seed, 0x3e16));
-    g = with_unique_weights(with_random_weights(g, wrng, 1'000'000));
-    const DistributedGraph wdg(g,
-                               VertexPartition::random(n, opt.k, split(opt.seed, 0x9a97)));
-    const auto res = minimum_spanning_forest(cluster, wdg, acfg);
+    const auto res = minimum_spanning_forest(cluster, *dg, acfg);
     Weight total = 0;
     for (const auto& e : res.mst_edges()) total += e.w;
     std::printf("mst_edges=%zu total_weight=%llu phases=%zu\n", res.mst_edges().size(),
                 static_cast<unsigned long long>(total), res.phases.size());
     print_stats("mst", res.stats);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
-    if (opt.verify) {
-      const bool ok = total == ref::msf_weight(g);
+    if (verify) {
+      const bool ok = total == ref::msf_weight(*g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "flood") {
     FloodingConfig fcfg{runtime};
     fcfg.fault = fault_plane ? &*fault_plane : nullptr;
-    const auto res = run_flood(opt, cluster, dg, fcfg, opt.m != 0 ? opt.m : 3 * opt.n);
+    const auto res = run_flood(opt, cluster, *dg, fcfg, opt.m != 0 ? opt.m : 3 * opt.n);
     if (!res) return 1;
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
     const std::vector<Label>& labels = res->labels;
-    if (opt.verify) {
+    if (verify) {
       // Flooding's contract is exact: labels[v] == smallest vertex id in
       // v's component, so the referee compares raw labels (canonicalizing
       // would erase a uniformly-propagated tampered label). Out-of-range
       // labels are a mismatch by definition — range-check before use.
-      const auto expect = ref::component_labels(g);
+      const auto expect = ref::component_labels(*g);
       bool ok = labels.size() == expect.size();
       for (std::size_t v = 0; ok && v < expect.size(); ++v) {
         ok = labels[v] < labels.size() && labels[v] == expect[v];
@@ -749,43 +698,46 @@ int main(int argc, char** argv) {
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "referee") {
-    const auto res = referee_connectivity(cluster, dg, RefereeConfig{runtime});
+    const auto res = referee_connectivity(cluster, *dg, RefereeConfig{runtime});
     std::printf("components=%llu\n", static_cast<unsigned long long>(res.num_components));
     print_stats("referee", res.stats);
   } else if (opt.algo == "mincut") {
     MinCutConfig mcfg;
     mcfg.seed = acfg.seed;
     mcfg.connectivity = BoruvkaConfig{runtime};
-    const auto res = approximate_min_cut(cluster, dg, mcfg);
+    const auto res = approximate_min_cut(cluster, *dg, mcfg);
     std::printf("estimate=%llu disconnect_level=%d connected=%s\n",
                 static_cast<unsigned long long>(res.estimate), res.disconnect_level,
                 res.graph_connected ? "yes" : "no");
     print_stats("mincut", res.stats);
-    if (opt.verify && n <= 512) {
+    if (verify && n <= 512) {
       std::printf("exact (Stoer-Wagner): %llu\n",
-                  static_cast<unsigned long long>(ref::stoer_wagner_min_cut(g)));
+                  static_cast<unsigned long long>(ref::stoer_wagner_min_cut(*g)));
     }
   } else if (opt.algo == "2ec") {
-    const auto res = two_edge_connectivity(cluster, dg, acfg);
+    const auto res = two_edge_connectivity(cluster, *dg, acfg);
     std::printf("two_edge_connected=%s certificate_edges=%zu\n",
                 res.two_edge_connected ? "yes" : "no", res.certificate_edges);
     print_stats("2ec", res.stats);
-    if (opt.verify) {
-      const bool ok = res.two_edge_connected == ref::is_two_edge_connected(g);
+    if (verify) {
+      const bool ok = res.two_edge_connected == ref::is_two_edge_connected(*g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
       return ok ? 0 : 1;
     }
   } else if (opt.algo == "bipartite") {
-    const auto res = verify_bipartiteness(cluster, dg, acfg);
+    const auto res = verify_bipartiteness(cluster, *dg, acfg);
     std::printf("bipartite=%s\n", res.ok ? "yes" : "no");
     print_stats("bipartite", res.stats);
-    if (opt.verify) {
-      const bool ok = res.ok == ref::is_bipartite(g);
+    if (verify) {
+      const bool ok = res.ok == ref::is_bipartite(*g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
       return ok ? 0 : 1;
     }
   } else {
     usage(argv[0]);
+  }
+  if (opt.verify && !g) {
+    std::printf("verify: skipped (--stream-ingest never materializes the global graph)\n");
   }
   return 0;
 }

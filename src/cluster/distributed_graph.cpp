@@ -11,6 +11,26 @@ namespace kmm {
 namespace {
 // Below this the chunked build's histogram pass costs more than it saves.
 constexpr std::size_t kParallelVertexCutoff = 1 << 15;
+
+/// fn(i) for every machine i: on `pool` when given, else in machine order.
+template <typename Fn>
+void for_each_machine(MachineId k, ThreadPool* pool, const Fn& fn) {
+  if (pool != nullptr) {
+    pool->parallel_for(k, fn);
+  } else {
+    for (MachineId i = 0; i < k; ++i) fn(i);
+  }
+}
+
+/// An adjacency over n vertices with one empty shard per machine.
+ShardedAdjacency empty_adjacency(std::size_t n, MachineId k) {
+  ShardedAdjacency adj;
+  adj.n = n;
+  adj.vstart.resize(n);
+  adj.vdeg.resize(n);
+  adj.shards.resize(k);
+  return adj;
+}
 }  // namespace
 
 Expected<DistributedGraph, BuildError> DistributedGraph::make(const Graph& graph,
@@ -93,6 +113,71 @@ void DistributedGraph::build_hosted(std::size_t n, ThreadPool* pool) {
       hosted_[cursor[home_[v]]++] = static_cast<Vertex>(v);
     }
   });
+}
+
+bool DistributedGraph::has_edge(Vertex x, Vertex y) const {
+  if (x >= num_vertices() || y >= num_vertices()) return false;
+  for (const HalfEdge he : neighbors(x)) {
+    if (he.to >= y) return he.to == y;  // neighbors ascend
+  }
+  return false;
+}
+
+DistributedGraph DistributedGraph::derive(const std::function<bool(Vertex, Vertex, Weight)>& keep,
+                                          ThreadPool* pool) const {
+  ShardedAdjacency adj = empty_adjacency(num_vertices(), machines());
+  for_each_machine(machines(), pool, [&](std::size_t i) {
+    MachineShard& shard = adj.shards[i];
+    for (const Vertex v : vertices_of(static_cast<MachineId>(i))) {
+      adj.vstart[v] = shard.to.size();
+      for (const HalfEdge he : neighbors(v)) {
+        if (!keep(v, he.to, he.weight)) continue;
+        if (!shard.weight.empty() || he.weight != 1) {
+          shard.weight.resize(shard.to.size(), 1);  // unit weights kept so far
+          shard.weight.push_back(he.weight);
+        }
+        shard.to.push_back(he.to);
+      }
+      adj.vdeg[v] = static_cast<std::uint32_t>(shard.to.size() - adj.vstart[v]);
+    }
+  });
+  for (const MachineShard& shard : adj.shards) adj.num_half_edges += shard.to.size();
+  return DistributedGraph(std::move(adj), partition_, pool);
+}
+
+DistributedGraph DistributedGraph::without_edges(
+    const std::vector<std::pair<Vertex, Vertex>>& removed, ThreadPool* pool) const {
+  const std::size_t n = num_vertices();
+  std::vector<EdgeIndex> gone;
+  gone.reserve(removed.size());
+  for (const auto& [x, y] : removed) gone.push_back(edge_index(x, y, n));
+  std::sort(gone.begin(), gone.end());
+  return derive(
+      [&](Vertex v, Vertex u, Weight) {
+        return !std::binary_search(gone.begin(), gone.end(), edge_index(v, u, n));
+      },
+      pool);
+}
+
+DistributedGraph DistributedGraph::double_cover(ThreadPool* pool) const {
+  const MachineId k = machines();
+  ShardedAdjacency adj = empty_adjacency(2 * num_vertices(), k);
+  adj.num_half_edges = 4 * num_edges();
+  std::vector<MachineId> homes(adj.n);
+  for_each_machine(k, pool, [&](std::size_t i) {
+    MachineShard& shard = adj.shards[i];
+    for (const Vertex v : vertices_of(static_cast<MachineId>(i))) {
+      for (const Vertex side : {0u, 1u}) {  // lift 2v + side joins 2u + (1 - side)
+        const Vertex lift = 2 * v + side;
+        homes[lift] = static_cast<MachineId>(i);
+        adj.vstart[lift] = shard.to.size();
+        adj.vdeg[lift] = static_cast<std::uint32_t>(degree(v));
+        for (const HalfEdge he : neighbors(v)) shard.to.push_back(2 * he.to + 1 - side);
+      }
+    }
+  });
+  return DistributedGraph(std::move(adj), VertexPartition::from_table(std::move(homes), k),
+                          pool);
 }
 
 std::span<const Vertex> DistributedGraph::vertices_of(MachineId i) const {

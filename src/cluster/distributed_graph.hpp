@@ -9,8 +9,7 @@
 //
 // Two backends share this interface:
 //   * materialized — a non-owning view over a global `Graph` (the classic
-//     small-tier path; graph() exposes the whole graph to the referee-style
-//     verifiers).
+//     small-tier path).
 //   * shard-direct — per-machine SoA adjacency shards built by the streaming
 //     ingest plane (cluster/stream_ingest.hpp) without ever holding a global
 //     edge list or Graph. graph() hard-fails here: no machine (and no
@@ -19,11 +18,16 @@
 //     from 1, so the unweighted tier pays 4 bytes per half-edge.
 // Both backends present neighbors(v) sorted ascending by neighbor id, so
 // algorithm traffic — and therefore the ClusterStats ledger — is
-// bit-identical whichever backend hosts the graph.
+// bit-identical whichever backend hosts the graph. The verifiers, min-cut
+// and two-edge connectivity never read graph(): the subgraphs they reduce
+// to are derived per machine (derive(), without_edges(), double_cover()),
+// shard-direct on either backend.
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -148,9 +152,7 @@ class DistributedGraph {
   DistributedGraph(ShardedAdjacency sharded, VertexPartition partition,
                    ThreadPool* pool = nullptr);
 
-  /// True when a global Graph backs this view. Referee-style verifiers and
-  /// global-recourse algorithms (mincut sampling, 2-ECC residual builds)
-  /// require it; model-faithful algorithms must not.
+  /// True when a global Graph backs this view.
   [[nodiscard]] bool materialized() const noexcept { return graph_ != nullptr; }
 
   /// The global graph — materialized backend only (checked).
@@ -197,6 +199,33 @@ class DistributedGraph {
     KMM_CHECK(v < sharded_.n);
     return sharded_.vdeg[v];
   }
+
+  /// True iff {x, y} is an edge: a scan of x's adjacency at home(x), on
+  /// either backend. Out-of-range ids are not edges.
+  [[nodiscard]] bool has_edge(Vertex x, Vertex y) const;
+
+  /// The subgraph every machine derives from its own adjacency without
+  /// communication: the same vertex set and partition, where machine
+  /// home(v) keeps each half-edge (v, u, w) of a hosted v for which
+  /// keep(v, u, w) holds. `keep` must be symmetric in (v, u), as a predicate
+  /// over edge_index(v, u, n) is, so both homes of an edge agree on it. The
+  /// result is shard-direct with neighbors ascending; no global edge list
+  /// or Graph is built. Machines run concurrently on `pool` when given
+  /// (call from the driver thread: the pool is not reentrant); the result
+  /// is identical for every thread count.
+  [[nodiscard]] DistributedGraph derive(const std::function<bool(Vertex, Vertex, Weight)>& keep,
+                                        ThreadPool* pool = nullptr) const;
+
+  /// derive() keeping every edge except the undirected `removed` ones
+  /// (either orientation; pairs that are not edges are ignored).
+  [[nodiscard]] DistributedGraph without_edges(
+      const std::vector<std::pair<Vertex, Vertex>>& removed, ThreadPool* pool = nullptr) const;
+
+  /// The bipartite double cover, built per machine: vertex v splits into 2v
+  /// and 2v+1, both hosted by home(v); 2v's neighbors are {2u+1} and
+  /// 2v+1's are {2u} for u in neighbors(v). Unweighted. A component of G
+  /// lifts to two components iff it is bipartite, else to one.
+  [[nodiscard]] DistributedGraph double_cover(ThreadPool* pool = nullptr) const;
 
   /// max_i |vertices_of(i)| — the Θ~(n/k) balance the RVP guarantees.
   [[nodiscard]] std::size_t max_machine_load() const;

@@ -12,7 +12,7 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
   const StatsScope scope(cluster);
   MinCutResult result;
   const std::size_t n = dg.num_vertices();
-  const std::size_t m = dg.graph().num_edges();
+  const std::size_t m = dg.num_edges();
 
   // Level 0 (p = 1) is plain connectivity of the input.
   {
@@ -45,10 +45,11 @@ MinCutResult approximate_min_cut(Cluster& cluster, const DistributedGraph& dg,
       const std::uint64_t trial_seed =
           split3(config.seed, static_cast<std::uint64_t>(level),
                  static_cast<std::uint64_t>(trial));
-      const Graph sampled = dg.graph().filtered([&](Vertex u, Vertex v, Weight) {
-        return split(trial_seed, edge_index(u, v, n)) < threshold;
-      });
-      const DistributedGraph sampled_dg(sampled, dg.partition());
+      const DistributedGraph sampled_dg = dg.derive(
+          [&](Vertex u, Vertex v, Weight) {
+            return split(trial_seed, edge_index(u, v, n)) < threshold;
+          },
+          config.connectivity.pool);
       BoruvkaConfig conn = config.connectivity;
       conn.seed = split3(config.seed, 0x515, trial_seed);
       const auto res = connected_components(cluster, sampled_dg, conn);

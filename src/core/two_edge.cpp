@@ -76,8 +76,7 @@ TwoEdgeResult two_edge_connectivity(Cluster& cluster, const DistributedGraph& dg
 
   // 3-4. Second forest on G \ F1 (home machines strip their announced
   //      forest edges — a purely local construction).
-  const Graph residual = dg.graph().without_edges(f1);
-  const DistributedGraph residual_dg(residual, dg.partition());
+  const DistributedGraph residual_dg = dg.without_edges(f1, config.pool);
   const StatsScope forests2(cluster);
   BoruvkaConfig c2 = config;
   c2.seed = split(config.seed, 0x2ec2);

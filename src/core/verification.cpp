@@ -71,28 +71,25 @@ std::uint64_t count_edges(Runtime& rt, const DistributedGraph& dg) {
   return sum_reduce_broadcast(rt, local, kTagEdgeCount);
 }
 
-Graph restricted_to(const Graph& g, const std::vector<std::pair<Vertex, Vertex>>& edges) {
-  std::vector<WeightedEdge> list;
-  list.reserve(edges.size());
-  for (auto [u, v] : edges) {
-    KMM_CHECK_MSG(g.has_edge(u, v), "subgraph edge not present in G");
-    list.push_back(WeightedEdge{std::min(u, v), std::max(u, v), 1});
-  }
-  std::sort(list.begin(), list.end(), [](const WeightedEdge& a, const WeightedEdge& b) {
-    return std::pair{a.u, a.v} < std::pair{b.u, b.v};
-  });
-  list.erase(std::unique(list.begin(), list.end()), list.end());
-  return Graph(g.num_vertices(), std::move(list));
-}
-
 }  // namespace
 
 VerifyResult verify_spanning_connected_subgraph(
     Cluster& cluster, const DistributedGraph& dg,
     const std::vector<std::pair<Vertex, Vertex>>& subgraph_edges, const BoruvkaConfig& config) {
   const StatsScope scope(cluster);
-  const Graph h = restricted_to(dg.graph(), subgraph_edges);
-  const DistributedGraph hd(h, dg.partition());
+  const std::size_t n = dg.num_vertices();
+  std::vector<EdgeIndex> kept;
+  kept.reserve(subgraph_edges.size());
+  for (const auto& [u, v] : subgraph_edges) {
+    KMM_CHECK_MSG(dg.has_edge(u, v), "subgraph edge not present in G");
+    kept.push_back(edge_index(u, v, n));
+  }
+  std::sort(kept.begin(), kept.end());
+  const DistributedGraph hd = dg.derive(
+      [&](Vertex v, Vertex u, Weight) {
+        return std::binary_search(kept.begin(), kept.end(), edge_index(v, u, n));
+      },
+      config.pool);
   const auto res = connected_components(cluster, hd, config);
   VerifyResult out;
   out.components = res.num_components;
@@ -107,8 +104,7 @@ VerifyResult verify_cut(Cluster& cluster, const DistributedGraph& dg,
   const StatsScope scope(cluster);
   // cc before and after the removal; the candidate is a cut iff cc grows.
   const auto before = connected_components(cluster, dg, config);
-  const Graph reduced = dg.graph().without_edges(cut_edges);
-  const DistributedGraph rd(reduced, dg.partition());
+  const DistributedGraph rd = dg.without_edges(cut_edges, config.pool);
   BoruvkaConfig after_cfg = config;
   after_cfg.seed = split(config.seed, 0xc07);
   const auto after = connected_components(cluster, rd, after_cfg);
@@ -134,9 +130,8 @@ VerifyResult verify_edge_on_all_paths(Cluster& cluster, const DistributedGraph& 
                                       Vertex v, Vertex x, Vertex y,
                                       const BoruvkaConfig& config) {
   const StatsScope scope(cluster);
-  KMM_CHECK_MSG(dg.graph().has_edge(x, y), "edge-on-all-paths: edge not in G");
-  const Graph reduced = dg.graph().without_edges({{x, y}});
-  const DistributedGraph rd(reduced, dg.partition());
+  KMM_CHECK_MSG(dg.has_edge(x, y), "edge-on-all-paths: edge not in G");
+  const DistributedGraph rd = dg.without_edges({{x, y}}, config.pool);
   const auto res = connected_components(cluster, rd, config);
   VerifyResult out;
   out.components = res.num_components;
@@ -149,8 +144,7 @@ VerifyResult verify_st_cut(Cluster& cluster, const DistributedGraph& dg, Vertex 
                            const std::vector<std::pair<Vertex, Vertex>>& cut_edges,
                            const BoruvkaConfig& config) {
   const StatsScope scope(cluster);
-  const Graph reduced = dg.graph().without_edges(cut_edges);
-  const DistributedGraph rd(reduced, dg.partition());
+  const DistributedGraph rd = dg.without_edges(cut_edges, config.pool);
   const auto res = connected_components(cluster, rd, config);
   VerifyResult out;
   out.components = res.num_components;
@@ -178,9 +172,8 @@ VerifyResult verify_cycle_containment(Cluster& cluster, const DistributedGraph& 
 VerifyResult verify_e_cycle_containment(Cluster& cluster, const DistributedGraph& dg, Vertex x,
                                         Vertex y, const BoruvkaConfig& config) {
   const StatsScope scope(cluster);
-  KMM_CHECK_MSG(dg.graph().has_edge(x, y), "e-cycle containment: edge not in G");
-  const Graph reduced = dg.graph().without_edges({{x, y}});
-  const DistributedGraph rd(reduced, dg.partition());
+  KMM_CHECK_MSG(dg.has_edge(x, y), "e-cycle containment: edge not in G");
+  const DistributedGraph rd = dg.without_edges({{x, y}}, config.pool);
   const auto res = connected_components(cluster, rd, config);
   VerifyResult out;
   out.components = res.num_components;
@@ -192,30 +185,14 @@ VerifyResult verify_e_cycle_containment(Cluster& cluster, const DistributedGraph
 VerifyResult verify_bipartiteness(Cluster& cluster, const DistributedGraph& dg,
                                   const BoruvkaConfig& config) {
   const StatsScope scope(cluster);
-  const std::size_t n = dg.num_vertices();
 
   // cc(G).
   const auto base = connected_components(cluster, dg, config);
 
-  // Bipartite double cover G': vertex v splits into 2v ("even side") and
-  // 2v+1 ("odd side"); edge (u,v) becomes (2u, 2v+1) and (2u+1, 2v). Each
-  // component of G lifts to two components iff it is bipartite, else one.
-  std::vector<WeightedEdge> lifted;
-  lifted.reserve(2 * dg.graph().num_edges());
-  for (const auto& e : dg.graph().edges()) {
-    lifted.push_back(WeightedEdge{static_cast<Vertex>(2 * e.u),
-                                  static_cast<Vertex>(2 * e.v + 1), 1});
-    lifted.push_back(WeightedEdge{static_cast<Vertex>(2 * e.u + 1),
-                                  static_cast<Vertex>(2 * e.v), 1});
-  }
-  const Graph cover(2 * n, std::move(lifted));
-  std::vector<MachineId> homes(2 * n);
-  for (Vertex v = 0; v < n; ++v) {
-    homes[2 * v] = dg.home(v);      // both lifts live with v's home machine,
-    homes[2 * v + 1] = dg.home(v);  // so construction is communication-free
-  }
-  const DistributedGraph cover_dg(
-      cover, VertexPartition::from_table(std::move(homes), dg.machines()));
+  // Bipartite double cover G', built by each home machine from its own
+  // adjacency: a component of G lifts to two components iff it is
+  // bipartite, else to one.
+  const DistributedGraph cover_dg = dg.double_cover(config.pool);
   BoruvkaConfig cover_cfg = config;
   cover_cfg.seed = split(config.seed, 0xb1);
   const auto lifted_res = connected_components(cluster, cover_dg, cover_cfg);

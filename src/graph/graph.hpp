@@ -119,17 +119,6 @@ class Graph {
   /// A copy of this graph with the given undirected edges removed.
   [[nodiscard]] Graph without_edges(const std::vector<std::pair<Vertex, Vertex>>& removed) const;
 
-  /// A copy with only the edges for which keep(u, v, w) returns true.
-  template <typename Pred>
-  [[nodiscard]] Graph filtered(Pred keep) const {
-    std::vector<WeightedEdge> kept;
-    kept.reserve(edges_.size());
-    for (const auto& e : edges_) {
-      if (keep(e.u, e.v, e.w)) kept.push_back(e);
-    }
-    return Graph(n_, std::move(kept));
-  }
-
  private:
   void build_serial(std::vector<WeightedEdge> edges);
   void build_parallel(std::vector<WeightedEdge> edges, ThreadPool& pool);

@@ -111,7 +111,7 @@ Expected<std::unique_ptr<QueryJournal>, DurableError> QueryJournal::open(
   const int fd = ::open(path.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
   if (fd < 0) {
     return Result::err({DurableErrorCode::kIo,
-                        "open failed: " + std::string(std::strerror(errno)), path});
+                        std::string("open failed: ") + std::strerror(errno), path});
   }
   // Seal a torn tail before appending anything: a SIGKILL mid-append can
   // leave the final line without its newline, and O_APPEND would then weld
@@ -134,7 +134,9 @@ QueryJournal::~QueryJournal() {
 }
 
 void QueryJournal::append_line(const std::string& body) {
-  const std::string line = body + crc_suffix(body) + "\n";
+  std::string line = body;
+  line += crc_suffix(body);
+  line += '\n';
   std::lock_guard<std::mutex> lock(mutex_);
   std::size_t off = 0;
   bool ok = true;
@@ -161,23 +163,34 @@ void QueryJournal::append_line(const std::string& body) {
 }
 
 void QueryJournal::record_submitted(std::uint64_t id, const QueryRequest& request) {
-  std::string body = "S " + std::to_string(id) + " " +
-                     std::to_string(static_cast<unsigned>(request.kind)) + " " +
-                     std::to_string(request.seed) + " " +
-                     std::to_string(request.budget.deadline_ms) + " " +
-                     std::to_string(request.budget.max_supersteps) + " " +
-                     std::to_string(request.budget.max_ledger_bits) + " " +
-                     std::to_string(request.s) + " " + std::to_string(request.t) + " " +
-                     std::to_string(request.x) + " " + std::to_string(request.y) + " " +
-                     std::to_string(request.edges.size());
+  std::string body = "S";
+  const auto field = [&body](std::uint64_t value) {
+    body += ' ';
+    body += std::to_string(value);
+  };
+  field(id);
+  field(static_cast<unsigned>(request.kind));
+  field(request.seed);
+  field(request.budget.deadline_ms);
+  field(request.budget.max_supersteps);
+  field(request.budget.max_ledger_bits);
+  field(request.s);
+  field(request.t);
+  field(request.x);
+  field(request.y);
+  field(request.edges.size());
   for (const auto& [u, v] : request.edges) {
-    body += " " + std::to_string(u) + " " + std::to_string(v);
+    field(u);
+    field(v);
   }
   append_line(body);
 }
 
 void QueryJournal::record_completed(std::uint64_t id, bool ok) {
-  append_line("C " + std::to_string(id) + " " + (ok ? std::string("1") : std::string("0")));
+  std::string body = "C ";
+  body += std::to_string(id);
+  body += ok ? " 1" : " 0";
+  append_line(body);
 }
 
 QueryJournal::Stats QueryJournal::stats() const {
@@ -190,7 +203,7 @@ Expected<QueryJournal::Replay, DurableError> QueryJournal::replay(const std::str
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Result::err({DurableErrorCode::kIo,
-                        "open failed: " + std::string(std::strerror(errno)), path});
+                        std::string("open failed: ") + std::strerror(errno), path});
   }
   std::map<std::uint64_t, QueryRequest> submitted;
   std::set<std::uint64_t> completed;

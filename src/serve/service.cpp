@@ -29,33 +29,25 @@ inline std::uint64_t steady_now_ns() noexcept {
           .count());
 }
 
-struct QueryKindInfo {
-  const char* name;
-  /// The kind's reduction builds derived graphs (or samples edges) through
-  /// DistributedGraph::graph() — unanswerable on a shard-direct backend,
-  /// where no machine ever held the global edge list.
-  bool needs_materialized;
-};
-
 /// Indexed by QueryKind, in declaration order.
-constexpr QueryKindInfo kQueryKinds[] = {
-    {"connectivity", false},
-    {"mst", false},
-    {"mincut", true},
-    {"two_edge", true},
-    {"flooding", false},
-    {"referee", false},
-    {"leader", false},
-    {"verify_spanning_subgraph", true},
-    {"verify_cut", true},
-    {"verify_st_connectivity", true},
-    {"verify_edge_on_all_paths", true},
-    {"verify_st_cut", true},
-    {"verify_cycle", true},
-    {"verify_e_cycle", true},
-    {"verify_bipartite", true},
+constexpr const char* kQueryKindNames[] = {
+    "connectivity",
+    "mst",
+    "mincut",
+    "two_edge",
+    "flooding",
+    "referee",
+    "leader",
+    "verify_spanning_subgraph",
+    "verify_cut",
+    "verify_st_connectivity",
+    "verify_edge_on_all_paths",
+    "verify_st_cut",
+    "verify_cycle",
+    "verify_e_cycle",
+    "verify_bipartite",
 };
-static_assert(std::size(kQueryKinds) == kQueryKindCount);
+static_assert(std::size(kQueryKindNames) == kQueryKindCount);
 
 bool chaos_armed(const ServiceChaos& chaos) noexcept {
   return chaos.kill_prob > 0.0 || chaos.profile.drop_prob > 0.0 ||
@@ -67,7 +59,7 @@ bool chaos_armed(const ServiceChaos& chaos) noexcept {
 
 const char* query_kind_name(QueryKind kind) noexcept {
   const auto i = static_cast<std::size_t>(kind);
-  return i < kQueryKindCount ? kQueryKinds[i].name : "unknown";
+  return i < kQueryKindCount ? kQueryKindNames[i] : "unknown";
 }
 
 std::size_t estimate_query_bytes(std::size_t n, MachineId k) noexcept {
@@ -457,10 +449,6 @@ std::optional<QueryError> ClusterService::validate(const QueryRequest& request) 
   };
   const auto kind = static_cast<std::size_t>(request.kind);
   if (kind >= kQueryKindCount) return invalid("unknown query kind");
-  if (kQueryKinds[kind].needs_materialized && !dg_->materialized()) {
-    return invalid(std::string(query_kind_name(request.kind)) +
-                   " requires a materialized graph backend");
-  }
   const auto vertex_ok = [n](Vertex v) { return static_cast<std::size_t>(v) < n; };
   switch (request.kind) {
     case QueryKind::kVerifyStConnectivity:
@@ -474,7 +462,7 @@ std::optional<QueryError> ClusterService::validate(const QueryRequest& request) 
           !vertex_ok(request.y)) {
         return invalid("s/t/x/y vertex out of range");
       }
-      if (!dg_->graph().has_edge(request.x, request.y)) {
+      if (!dg_->has_edge(request.x, request.y)) {
         return invalid("edge (x, y) not present in G");
       }
       break;
@@ -482,7 +470,7 @@ std::optional<QueryError> ClusterService::validate(const QueryRequest& request) 
       if (!vertex_ok(request.x) || !vertex_ok(request.y)) {
         return invalid("x/y vertex out of range");
       }
-      if (!dg_->graph().has_edge(request.x, request.y)) {
+      if (!dg_->has_edge(request.x, request.y)) {
         return invalid("edge (x, y) not present in G");
       }
       break;
@@ -495,8 +483,7 @@ std::optional<QueryError> ClusterService::validate(const QueryRequest& request) 
     case QueryKind::kVerifyStCut:
       for (const auto& [u, v] : request.edges) {
         if (!vertex_ok(u) || !vertex_ok(v)) return invalid("edge endpoint out of range");
-        if (request.kind == QueryKind::kVerifySpanningSubgraph &&
-            !dg_->graph().has_edge(u, v)) {
+        if (request.kind == QueryKind::kVerifySpanningSubgraph && !dg_->has_edge(u, v)) {
           return invalid("subgraph edge not present in G");
         }
       }

@@ -22,9 +22,10 @@
 //     kill decisions one PRF draw per (query, attempt), retries converge
 //     geometrically and a surviving attempt's ledger is bit-identical to an
 //     undisturbed run;
-//   * malformed requests (vertices/edges outside the graph, verifier kinds
-//     on a shard-direct backend that never materialized the global graph)
-//     return kInvalidArgument up front.
+//   * malformed requests (vertices or edges outside the graph) return
+//     kInvalidArgument up front. Every kind runs on either backend: the
+//     subgraphs the verifiers, min-cut and two-edge reduce to are derived
+//     per machine, so a shard-direct service answers all of them.
 
 #include <condition_variable>
 #include <cstddef>

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/conversion.hpp"
 #include "cluster/distributed_graph.hpp"
 #include "cluster/proxy.hpp"
 #include "cluster/stream_ingest.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
 #include "runtime/runtime.hpp"
 #include "util/hashing.hpp"
@@ -299,6 +304,115 @@ TEST(DistributedGraph, HomeCacheMatchesPartition) {
         expect_cache_matches(sharded.value(), name);
       }
     }
+  }
+}
+
+/// Same vertex count, edge count, homes, hosted lists and adjacency
+/// (neighbor ids and weights, in order) — everything an algorithm can read.
+void expect_same_distributed_graph(const DistributedGraph& a, const DistributedGraph& b) {
+  ASSERT_EQ(a.num_vertices(), b.num_vertices());
+  ASSERT_EQ(a.machines(), b.machines());
+  EXPECT_EQ(a.num_edges(), b.num_edges());
+  for (MachineId i = 0; i < a.machines(); ++i) {
+    EXPECT_TRUE(std::ranges::equal(a.vertices_of(i), b.vertices_of(i))) << "machine " << i;
+  }
+  for (Vertex v = 0; v < a.num_vertices(); ++v) {
+    ASSERT_EQ(a.home(v), b.home(v)) << "v=" << v;
+    ASSERT_EQ(a.degree(v), b.degree(v)) << "v=" << v;
+    std::vector<std::pair<Vertex, Weight>> na, nb;
+    for (const HalfEdge he : a.neighbors(v)) na.emplace_back(he.to, he.weight);
+    for (const HalfEdge he : b.neighbors(v)) nb.emplace_back(he.to, he.weight);
+    ASSERT_EQ(na, nb) << "v=" << v;
+  }
+}
+
+TEST(DistributedGraphDerive, MatchesGlobalRebuildOnBothBackendsAndPools) {
+  constexpr std::size_t n = 300;
+  constexpr MachineId k = 8;
+  Rng rng(5);
+  Rng wrng(6);
+  const Graph plain = gen::gnm(n, 900, rng);
+  const Graph weighted = with_random_weights(plain, wrng, 1000);
+  const auto part = VertexPartition::random(n, k, 17);
+  for (const Graph* g : {&plain, &weighted}) {
+    std::vector<std::pair<Vertex, Vertex>> removed;
+    for (std::size_t i = 0; i < g->num_edges(); i += 7) {
+      removed.emplace_back(g->edges()[i].v, g->edges()[i].u);  // either orientation
+    }
+    removed.emplace_back(0, 0);  // not an edge: ignored
+    const auto keep = [](Vertex v, Vertex u, Weight) { return split(9, edge_index(v, u, n)) % 3 != 0; };
+    std::vector<WeightedEdge> kept;
+    for (const auto& e : g->edges()) {
+      if (keep(e.u, e.v, e.w)) kept.push_back(e);
+    }
+    const Graph without = g->without_edges(removed);
+    const Graph filtered(n, std::move(kept));
+    std::vector<WeightedEdge> lifted;  // the global double-cover construction
+    for (const auto& e : g->edges()) {
+      lifted.push_back({static_cast<Vertex>(2 * e.u), static_cast<Vertex>(2 * e.v + 1), 1});
+      lifted.push_back({static_cast<Vertex>(2 * e.u + 1), static_cast<Vertex>(2 * e.v), 1});
+    }
+    const Graph cover(2 * n, std::move(lifted));
+    std::vector<MachineId> homes(2 * n);
+    for (Vertex v = 0; v < n; ++v) homes[2 * v] = homes[2 * v + 1] = part.home(v);
+    const DistributedGraph expect_without(without, part);
+    const DistributedGraph expect_filtered(filtered, part);
+    const DistributedGraph expect_cover(cover, VertexPartition::from_table(homes, k));
+
+    const DistributedGraph materialized(*g, part);
+    const DistributedGraph streamed =
+        stream_ingest(n, part, gen::edge_list_stream(g->edges(), 128)).value();
+    for (const DistributedGraph* src : {&materialized, &streamed}) {
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        SCOPED_TRACE(std::string(src->materialized() ? "materialized" : "shard-direct") +
+                     " threads=" + std::to_string(threads) +
+                     (g == &weighted ? " weighted" : " unweighted"));
+        ThreadPool pool(threads);
+        expect_same_distributed_graph(src->without_edges(removed, &pool), expect_without);
+        expect_same_distributed_graph(src->derive(keep, &pool), expect_filtered);
+        expect_same_distributed_graph(src->double_cover(&pool), expect_cover);
+      }
+      for (Vertex x = 0; x < n; x += 3) {
+        for (Vertex y = 0; y < n; ++y) ASSERT_EQ(src->has_edge(x, y), g->has_edge(x, y));
+      }
+      for (const auto& e : g->edges()) {
+        EXPECT_TRUE(src->has_edge(e.u, e.v));
+        EXPECT_TRUE(src->has_edge(e.v, e.u));
+      }
+      EXPECT_FALSE(src->has_edge(0, static_cast<Vertex>(n)));
+      EXPECT_FALSE(src->has_edge(static_cast<Vertex>(n), 0));
+    }
+  }
+}
+
+TEST(DistributedGraphDerive, WeightPredicateKeepsWeights) {
+  const Graph g(4, {{0, 1, 5}, {1, 2, 10}, {2, 3, 15}});
+  const DistributedGraph dg(g, VertexPartition::round_robin(4, 2));
+  const DistributedGraph light = dg.derive([](Vertex, Vertex, Weight w) { return w <= 10; });
+  EXPECT_FALSE(light.materialized());
+  EXPECT_EQ(light.num_edges(), 2u);
+  EXPECT_FALSE(light.has_edge(2, 3));
+  EXPECT_TRUE(light.has_edge(2, 1));
+  std::vector<Weight> weights;
+  for (const HalfEdge he : light.neighbors(1)) weights.push_back(he.weight);
+  EXPECT_EQ(weights, (std::vector<Weight>{5, 10}));
+
+  // Unit weights are not stored (4 B per half-edge), and a non-unit weight
+  // after unit ones keeps the earlier units.
+  const Graph mixed(4, {{0, 1, 1}, {0, 2, 7}, {0, 3, 1}});
+  const DistributedGraph mdg(mixed, VertexPartition::round_robin(4, 2));
+  const auto all = [](Vertex, Vertex, Weight) { return true; };
+  const DistributedGraph mixed_all = mdg.derive(all);
+  weights.clear();
+  for (const HalfEdge he : mixed_all.neighbors(0)) weights.push_back(he.weight);
+  EXPECT_EQ(weights, (std::vector<Weight>{1, 7, 1}));
+  const DistributedGraph unit = dg.derive([](Vertex v, Vertex u, Weight) { return v + u != 5; })
+                                    .double_cover();
+  EXPECT_EQ(unit.num_edges(), 4u);
+  for (MachineId i = 0; i < 2; ++i) {
+    std::size_t half_edges = 0;
+    for (const Vertex v : unit.vertices_of(i)) half_edges += unit.degree(v);
+    EXPECT_EQ(unit.shard_bytes(i), half_edges * sizeof(Vertex));
   }
 }
 

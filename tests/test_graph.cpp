@@ -63,13 +63,6 @@ TEST(GraphContainer, WithoutEdges) {
   EXPECT_TRUE(cut.has_edge(1, 2));
 }
 
-TEST(GraphContainer, Filtered) {
-  const Graph g(4, {{0, 1, 5}, {1, 2, 10}, {2, 3, 15}});
-  const Graph light = g.filtered([](Vertex, Vertex, Weight w) { return w <= 10; });
-  EXPECT_EQ(light.num_edges(), 2u);
-  EXPECT_FALSE(light.has_edge(2, 3));
-}
-
 TEST(GraphContainer, EdgeIndexRoundtrip) {
   const std::uint64_t n = 100;
   for (Vertex x = 0; x < 10; ++x) {

@@ -172,8 +172,13 @@ INSTANTIATE_TEST_SUITE_P(
                       MstSweepCase{96, 4, 5}, MstSweepCase{96, 8, 6},
                       MstSweepCase{160, 8, 7}, MstSweepCase{160, 16, 8}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_k" + std::to_string(info.param.k) +
-             "_s" + std::to_string(info.param.seed);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      name += "_s";
+      name += std::to_string(info.param.seed);
+      return name;
     });
 
 }  // namespace

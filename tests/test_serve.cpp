@@ -424,8 +424,8 @@ TEST(ClusterService, InvalidArgumentsAreFrontLoaded) {
   EXPECT_EQ(b.error().code, QueryErrorCode::kInvalidArgument);
   EXPECT_STREQ(query_kind_name(bad_kind.kind), "unknown");
 
-  // Shard-direct backend: global-recourse kinds are structurally
-  // unanswerable and must say so instead of aborting in graph().
+  // Shard-direct backend: every kind runs, and edge operands are checked
+  // against the machines' shards.
   ShardedAdjacency sharded;
   sharded.n = 64;
   sharded.vstart.assign(64, 0);
@@ -436,14 +436,57 @@ TEST(ClusterService, InvalidArgumentsAreFrontLoaded) {
   QueryRequest mincut;
   mincut.kind = QueryKind::kMinCut;
   const QueryOutcome m = shard_service.run_query(mincut);
-  ASSERT_FALSE(m.ok());
-  EXPECT_EQ(m.error().code, QueryErrorCode::kInvalidArgument);
-  // ...while the model-faithful kinds still run.
+  ASSERT_TRUE(m.ok());
+  EXPECT_EQ(m.value().value, 0u);  // edgeless: disconnected, estimate 0
+  EXPECT_FALSE(m.value().verdict);
+  QueryRequest no_edge;
+  no_edge.kind = QueryKind::kVerifyEdgeOnAllPaths;
+  no_edge.s = 0;
+  no_edge.t = 1;
+  no_edge.x = 0;
+  no_edge.y = 1;
+  const QueryOutcome ne = shard_service.run_query(no_edge);
+  ASSERT_FALSE(ne.ok());
+  EXPECT_EQ(ne.error().code, QueryErrorCode::kInvalidArgument);
   QueryRequest conn;
   conn.kind = QueryKind::kConnectivity;
   const QueryOutcome c = shard_service.run_query(conn);
   ASSERT_TRUE(c.ok());
   EXPECT_EQ(c.value().value, 64u);  // edgeless: every vertex its own component
+}
+
+TEST(ClusterService, ShardDirectMatchesMaterializedForEveryKind) {
+  Rng wrng(13);
+  const Graph g = with_unique_weights(with_random_weights(test_graph(128, 384, 12), wrng, 1000));
+  const auto partition = VertexPartition::random(128, 8, 7);
+  const DistributedGraph dg(g, partition);
+  auto ingest = stream_ingest(128, partition, gen::edge_list_stream(g.edges()));
+  ASSERT_TRUE(ingest.ok());
+  const DistributedGraph shard_dg = std::move(ingest).value();
+  ASSERT_FALSE(shard_dg.materialized());
+  ClusterService materialized(dg, small_service_config());
+  ClusterService shard_direct(shard_dg, small_service_config());
+
+  std::vector<std::pair<Vertex, Vertex>> edges;
+  for (std::size_t i = 0; i < 8; ++i) edges.emplace_back(g.edges()[i].u, g.edges()[i].v);
+  for (std::size_t kind = 0; kind < kQueryKindCount; ++kind) {
+    QueryRequest req;
+    req.kind = static_cast<QueryKind>(kind);
+    req.seed = split(41, kind);
+    req.s = 0;
+    req.t = 127;
+    req.x = edges.front().first;
+    req.y = edges.front().second;
+    req.edges = edges;
+    SCOPED_TRACE(query_kind_name(req.kind));
+    const QueryOutcome a = materialized.run_query(req);
+    const QueryOutcome b = shard_direct.run_query(req);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_EQ(a.value().value, b.value().value);
+    EXPECT_EQ(a.value().verdict, b.value().verdict);
+    expect_same_ledger(a.value().ledger, b.value().ledger);
+  }
 }
 
 TEST(ClusterService, ShutdownResolvesQueuedTickets) {

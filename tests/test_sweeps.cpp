@@ -45,8 +45,13 @@ INSTANTIATE_TEST_SUITE_P(
                       MinCutCase{96, 3, 4, 5}, MinCutCase{96, 12, 8, 6},
                       MinCutCase{128, 6, 16, 7}, MinCutCase{128, 24, 16, 8}),
     [](const auto& info) {
-      return "n" + std::to_string(info.param.n) + "_l" + std::to_string(info.param.lambda) +
-             "_k" + std::to_string(info.param.k);
+      std::string name = "n";
+      name += std::to_string(info.param.n);
+      name += "_l";
+      name += std::to_string(info.param.lambda);
+      name += "_k";
+      name += std::to_string(info.param.k);
+      return name;
     });
 
 // --------------------------------------------------------------- flooding
@@ -91,8 +96,11 @@ std::vector<FloodCase> flood_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Families, FloodingSweep, ::testing::ValuesIn(flood_cases()),
                          [](const auto& info) {
-                           return "f" + std::to_string(info.param.family) + "_k" +
-                                  std::to_string(info.param.k);
+                           std::string name = "f";
+                           name += std::to_string(info.param.family);
+                           name += "_k";
+                           name += std::to_string(info.param.k);
+                           return name;
                          });
 
 // ---------------------------------------------------------------- REP MST
