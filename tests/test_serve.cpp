@@ -465,7 +465,9 @@ TEST(ClusterService, ShardDirectMatchesMaterializedForEveryKind) {
   const DistributedGraph shard_dg = std::move(ingest).value();
   ASSERT_FALSE(shard_dg.materialized());
   ClusterService materialized(dg, small_service_config());
-  ClusterService shard_direct(shard_dg, small_service_config());
+  ServiceConfig pooled = small_service_config();
+  pooled.query_threads = 2;  // derived graphs are built on the shared pool
+  ClusterService shard_direct(shard_dg, pooled);
 
   std::vector<std::pair<Vertex, Vertex>> edges;
   for (std::size_t i = 0; i < 8; ++i) edges.emplace_back(g.edges()[i].u, g.edges()[i].v);
