@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "kmm.hpp"
@@ -181,34 +182,43 @@ TEST(FaultPlane, ConnectivityAndMstRecoverFromCrashesThreadInvariantly) {
   sched.add_crash(7, 4);
   sched.add_crash(11, 6);
 
-  std::vector<LedgerKey> conn_ledgers, mst_ledgers;
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    const DistributedGraph dg(g, VertexPartition::random(n, k, 13));
+  // Cadences 3 and 8 replay windows that cross segment, iteration and
+  // phase boundaries; cadence 1 restores the crash step's own checkpoint.
+  for (const unsigned cadence : {1u, 3u, 8u}) {
+    FaultPlaneConfig pcfg;
+    pcfg.checkpoint_every = cadence;
+    std::vector<LedgerKey> conn_ledgers, mst_ledgers;
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const DistributedGraph dg(g, VertexPartition::random(n, k, 13));
+      const auto what = "cadence=" + std::to_string(cadence) +
+                        " threads=" + std::to_string(threads);
 
-    Cluster cc(ClusterConfig::for_graph(n, k));
-    FaultPlane conn_plane(sched);
-    BoruvkaConfig cfg = base;
-    cfg.threads = threads;
-    cfg.fault = &conn_plane;
-    const BoruvkaResult conn = connected_components(cc, dg, cfg);
-    EXPECT_EQ(conn.labels, conn_clean.labels) << "threads=" << threads;
-    EXPECT_EQ(conn.num_components, conn_clean.num_components);
-    EXPECT_EQ(conn_plane.stats().crashes, 3u);
-    EXPECT_EQ(conn_plane.stats().restores, 3u);
-    conn_ledgers.push_back(ledger_key(cc.stats()));
+      Cluster cc(ClusterConfig::for_graph(n, k));
+      FaultPlane conn_plane(sched, pcfg);
+      BoruvkaConfig cfg = base;
+      cfg.threads = threads;
+      cfg.fault = &conn_plane;
+      const BoruvkaResult conn = connected_components(cc, dg, cfg);
+      EXPECT_EQ(conn.labels, conn_clean.labels) << what;
+      EXPECT_EQ(conn.num_components, conn_clean.num_components) << what;
+      EXPECT_EQ(conn.forest_edges(), conn_clean.forest_edges()) << what;
+      EXPECT_EQ(conn_plane.stats().crashes, 3u) << what;
+      EXPECT_EQ(conn_plane.stats().restores, 3u) << what;
+      conn_ledgers.push_back(ledger_key(cc.stats()));
 
-    Cluster cm(ClusterConfig::for_graph(n, k));
-    FaultPlane mst_plane(sched);
-    cfg.fault = &mst_plane;
-    const BoruvkaResult mst = minimum_spanning_forest(cm, dg, cfg);
-    EXPECT_EQ(mst.labels, mst_clean.labels) << "threads=" << threads;
-    EXPECT_EQ(mst.mst_edges(), mst_clean.mst_edges());
-    EXPECT_EQ(mst_plane.stats().crashes, 3u);
-    mst_ledgers.push_back(ledger_key(cm.stats()));
-  }
-  for (std::size_t i = 1; i < conn_ledgers.size(); ++i) {
-    EXPECT_EQ(conn_ledgers[0], conn_ledgers[i]);
-    EXPECT_EQ(mst_ledgers[0], mst_ledgers[i]);
+      Cluster cm(ClusterConfig::for_graph(n, k));
+      FaultPlane mst_plane(sched, pcfg);
+      cfg.fault = &mst_plane;
+      const BoruvkaResult mst = minimum_spanning_forest(cm, dg, cfg);
+      EXPECT_EQ(mst.labels, mst_clean.labels) << what;
+      EXPECT_EQ(mst.mst_edges(), mst_clean.mst_edges()) << what;
+      EXPECT_EQ(mst_plane.stats().crashes, 3u) << what;
+      mst_ledgers.push_back(ledger_key(cm.stats()));
+    }
+    for (std::size_t i = 1; i < conn_ledgers.size(); ++i) {
+      EXPECT_EQ(conn_ledgers[0], conn_ledgers[i]) << "cadence=" << cadence;
+      EXPECT_EQ(mst_ledgers[0], mst_ledgers[i]) << "cadence=" << cadence;
+    }
   }
 }
 

@@ -74,6 +74,28 @@ std::vector<std::pair<const char*, Graph>> mincut_graphs() {
   return graphs;
 }
 
+/// Crashes at fixed plane supersteps of a Borůvka run: phase 0's
+/// activity OR-reduce (1), its first SS1 (2) and proxy step (3, on machine
+/// 0, which collects every OR-reduce), its elimination OR-reduce (8), one
+/// watchdog hang, two crashes in one step, and later ones that land
+/// wherever the run is by then.
+FaultSchedule golden_crash_schedule() {
+  FaultSchedule sched(2024);
+  sched.add_crash(1, 3);
+  sched.add_crash(2, 5);
+  sched.add_crash(3, 0);
+  sched.add_crash(8, 6, 5);
+  sched.add_hang(17, 2);
+  sched.add_crash(40, 7);
+  sched.add_crash(41, 1);
+  sched.add_crash(41, 4);
+  sched.add_crash(95, 0);
+  sched.add_crash(150, 3);
+  sched.add_crash(250, 5);
+  sched.add_crash(400, 2);
+  return sched;
+}
+
 std::vector<GoldenCase> golden_cases() {
   std::vector<GoldenCase> cases;
   const auto add = [&](std::string name, std::function<ClusterStats(unsigned)> run) {
@@ -222,6 +244,40 @@ std::vector<GoldenCase> golden_cases() {
     return c.stats();
   });
 
+  // Connectivity and MST under a fixed crash schedule. The recovered ledger
+  // is the fault-free one plus the stall and retransmit charges of each
+  // crash; restoring and replaying a machine is ledger-free, so these rows
+  // pin the recovery charges whatever mechanism rebuilds the victim.
+  for (auto& [gname, graph] : standard_graphs()) {
+    const Graph g = graph;
+    add(std::string("conn_crashes/") + gname, [g](unsigned threads) {
+      const FaultSchedule sched = golden_crash_schedule();
+      FaultPlane plane(sched);
+      Cluster c = fresh_cluster(g.num_vertices());
+      const DistributedGraph dg(g, VertexPartition::random(g.num_vertices(), kMachines, 99));
+      BoruvkaConfig cfg;
+      cfg.seed = 1234;
+      cfg.threads = threads;
+      cfg.fault = &plane;
+      (void)connected_components(c, dg, cfg);
+      return c.stats();
+    });
+    add(std::string("mst_crashes/") + gname, [g, gname = std::string(gname)](unsigned threads) {
+      Rng wrng(split(17, gname == "path" ? 0 : gname == "gnm" ? 1 : 2));
+      const Graph wg = with_unique_weights(with_random_weights(g, wrng, 100000));
+      const FaultSchedule sched = golden_crash_schedule();
+      FaultPlane plane(sched);
+      Cluster c = fresh_cluster(wg.num_vertices());
+      const DistributedGraph dg(wg, VertexPartition::random(wg.num_vertices(), kMachines, 99));
+      BoruvkaConfig cfg;
+      cfg.seed = 4321;
+      cfg.threads = threads;
+      cfg.fault = &plane;
+      (void)minimum_spanning_forest(c, dg, cfg);
+      return c.stats();
+    });
+  }
+
   return cases;
 }
 
@@ -229,6 +285,9 @@ std::vector<GoldenCase> golden_cases() {
 // representation; the current representation must reproduce them exactly.
 // The resumable_flood rows were captured from the per-superstep
 // gather/sort/unique boundary exchange that core/flood_exchange replaced.
+// The *_crashes rows were captured while the Borůvka engine recovered a
+// crashed machine through per-run state hooks (a crash-instant snapshot),
+// before it became a checkpointable program.
 // clang-format off
 constexpr GoldenRow kGolden[] = {
     {"connectivity/path", 8881u, 201u, 11135u, 1585u, 22677935u, 144560u, 0u},
@@ -265,6 +324,12 @@ constexpr GoldenRow kGolden[] = {
     {"mincut/gnm", 4743u, 138u, 3285u, 430u, 5171453u, 53088u, 0u},
     {"mincut/rmat", 3845u, 129u, 3344u, 407u, 4305242u, 61104u, 0u},
     {"leader_election", 2u, 1u, 56u, 0u, 4480u, 80u, 0u},
+    {"conn_crashes/path", 10105u, 201u, 11135u, 1585u, 22677935u, 144560u, 0u},
+    {"mst_crashes/path", 20612u, 296u, 22100u, 3136u, 50506116u, 146804u, 0u},
+    {"conn_crashes/gnm", 11318u, 208u, 13365u, 1839u, 25643489u, 209660u, 0u},
+    {"mst_crashes/gnm", 52203u, 668u, 53305u, 7579u, 126051054u, 240698u, 0u},
+    {"conn_crashes/rmat", 11078u, 189u, 12342u, 1714u, 21598249u, 239900u, 0u},
+    {"mst_crashes/rmat", 38641u, 580u, 42570u, 6155u, 80550875u, 239900u, 0u},
 };
 // clang-format on
 
