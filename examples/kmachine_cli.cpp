@@ -19,8 +19,7 @@
 //               --stream-ingest (build per-machine shards straight from the
 //                 chunked generator stream — gnm/rmat only; every --algo and
 //                 --serve run on the shards, but the global edge list and
-//                 Graph are never materialized, so --verify is skipped and
-//                 --fault-profile is rejected)
+//                 Graph are never materialized, so --verify is skipped)
 //               --mem-budget BYTES (per-machine shard byte cap for
 //                 --stream-ingest; ingest fails with a diagnostic exit when
 //                 any machine would exceed it)
@@ -32,13 +31,15 @@
 //               --checkpoint-every C (checkpoint cadence for crash recovery)
 //               --durable-dir DIR (durable checkpoint & restart plane: every
 //                 cadence checkpoint is also committed to DIR as a
-//                 checksummed resume frame; --algo flood only — the
-//                 checkpointable program. SIGKILL the process at any point
+//                 checksummed resume frame; --algo conn|mst|flood — the
+//                 checkpointable programs. SIGKILL the process at any point
 //                 and relaunch with --resume to continue bit-identically.
 //                 With --serve, DIR/queries.log journals query lifecycles)
 //               --resume (restore the newest intact generation in
 //                 --durable-dir and continue; corrupt/torn/stale generations
-//                 are skipped with a diagnostic, never silently restored)
+//                 are skipped with a diagnostic, never silently restored, and
+//                 a directory written for another graph, edge list, algorithm
+//                 or cluster shape exits 1)
 // Every value flag accepts both `--key value` and `--key=value`.
 // Flags are validated strictly: non-numeric or trailing-garbage values,
 // duplicate flags, zero where it has no meaning, and k > n or k < 2 are all
@@ -120,8 +121,12 @@ struct Options {
                "\n"
                "  --stream-ingest (gnm|rmat only) builds per-machine shards straight\n"
                "  from the generator stream. Every --algo and --serve run on them;\n"
-               "  no global graph exists, so --verify is skipped and --input and\n"
-               "  --fault-profile are rejected.\n",
+               "  no global graph exists, so --verify is skipped and --input is\n"
+               "  rejected.\n"
+               "\n"
+               "  --durable-dir (--algo conn|mst|flood) commits every checkpoint as\n"
+               "  a resume frame; after a kill, the same command with --resume\n"
+               "  continues bit-identically from the newest intact generation.\n",
                argv0);
   std::exit(2);
 }
@@ -223,10 +228,10 @@ Options parse(int argc, char** argv) {
     std::exit(2);
   }
   if (!opt.durable_dir.empty() && !opt.serve) {
-    if (opt.algo != "flood") {
+    if (opt.algo != "conn" && opt.algo != "mst" && opt.algo != "flood") {
       std::fprintf(stderr,
-                   "error: --durable-dir supports --algo flood (the checkpointable "
-                   "resumable program; rule 10 in runtime.hpp), got '%s'\n",
+                   "error: --durable-dir supports --algo conn|mst|flood (the "
+                   "checkpointable programs; rule 10 in runtime.hpp), got '%s'\n",
                    opt.algo.c_str());
       std::exit(2);
     }
@@ -288,10 +293,15 @@ void print_fault_stats(const FaultPlane* plane) {
               static_cast<unsigned long long>(s.overhead_rounds));
 }
 
-/// Identity of (graph, cluster shape, seed) stamped into every durable
-/// frame: a --resume against a directory written under different flags is
-/// rejected as kFingerprintMismatch instead of restoring alien state.
-std::uint64_t durable_fingerprint(const Options& opt, std::size_t n, std::size_t m) {
+/// Identity of (graph, algorithm, cluster shape, seed) stamped into every
+/// durable frame: a --resume against a directory written under different
+/// flags or another --input is rejected as kFingerprintMismatch instead of
+/// restoring alien state. `g` is the global graph when one exists; its edge
+/// list (weights included) is folded in, since n and m alone cannot tell
+/// two input files apart. The algorithm is folded in because conn and mst
+/// frames share a state version.
+std::uint64_t durable_fingerprint(const Options& opt, const Graph* g, std::size_t n,
+                                  std::size_t m) {
   std::uint64_t fp = split(0x6475'7261'626cULL, n);
   fp = split(fp, m);
   fp = split(fp, opt.k);
@@ -299,70 +309,66 @@ std::uint64_t durable_fingerprint(const Options& opt, std::size_t n, std::size_t
   fp = split(fp, opt.bandwidth);
   fp = split(fp, opt.stream_ingest ? 1 : 0);
   for (const char c : opt.graph) fp = split(fp, static_cast<unsigned char>(c));
+  for (const char c : opt.algo) fp = split(fp, static_cast<unsigned char>(c));
+  if (g != nullptr) fp = split(fp, edge_list_fingerprint(g->edges()));
   return fp;
 }
 
-/// The flood, shared by the materialized and stream-ingest backends: one
-/// flooding_connectivity call on config.fault (null or the --fault-profile
-/// plane), or — with --durable-dir — on an empty-schedule FaultPlane that
-/// tees every cadence checkpoint into a DurableStore; --resume restores the
-/// newest intact generation first. Prints the result lines. Nullopt only on
-/// durable-plane errors (corrupt directory with --resume, unwritable dir) —
-/// never on clean completion.
-std::optional<FloodingResult> run_flood(const Options& opt, Cluster& cluster,
-                                        const DistributedGraph& dg, FloodingConfig config,
-                                        std::size_t m) {
-  const FaultSchedule quiet(opt.fault_seed);
-  FaultPlaneConfig pcfg;
-  pcfg.checkpoint_every = opt.checkpoint_every;
-  FaultPlane durable_plane(quiet, pcfg);
+/// The --durable-dir plane, shared by conn, mst and flood: an
+/// empty-schedule FaultPlane that tees every cadence checkpoint into a
+/// DurableStore, with the newest intact generation armed on it under
+/// --resume.
+struct DurableRun {
+  explicit DurableRun(const Options& opt)
+      : quiet(opt.fault_seed),
+        plane(quiet, FaultPlaneConfig{.checkpoint_every = opt.checkpoint_every}) {}
+
+  FaultSchedule quiet;
+  FaultPlane plane;
   std::optional<DurableStore> store;
   std::optional<RecoveryManager::RecoveredState> recovered;
-  if (!opt.durable_dir.empty()) {
-    const std::uint64_t fp = durable_fingerprint(opt, dg.num_vertices(), m);
-    std::string dir_error;
-    if (!ensure_directory(opt.durable_dir, &dir_error)) {
-      std::fprintf(stderr, "error: --durable-dir: %s\n", dir_error.c_str());
-      return std::nullopt;
-    }
-    store.emplace(DurableStoreConfig{opt.durable_dir, /*fsync=*/true, /*keep_generations=*/3, fp});
-    durable_plane.set_durable_store(&*store);
-    if (opt.resume) {
-      auto rec = RecoveryManager::recover(opt.durable_dir,
-                                          {FloodProgram::kStateVersion, fp, opt.k});
-      if (!rec.ok()) {
-        std::fprintf(stderr, "error: --resume: %s: %s\n",
-                     durable_error_name(rec.error().code), rec.error().message.c_str());
-        return std::nullopt;
-      }
-      recovered = std::move(rec).value();
-      for (const auto& rej : recovered->rejected) {
-        std::fprintf(stderr, "resume: skipped generation %llu: %s (%s)\n",
-                     static_cast<unsigned long long>(rej.ordinal),
-                     durable_error_name(rej.error.code), rej.error.message.c_str());
-      }
-      std::printf("resume: superstep %llu from %s\n",
-                  static_cast<unsigned long long>(recovered->frame.ordinal),
-                  recovered->path.c_str());
-      durable_plane.arm_resume(&recovered->frame);
-    }
-    config.fault = &durable_plane;
-  }
+};
 
-  FloodingResult res = flooding_connectivity(cluster, dg, config);
-  std::printf("components=%llu supersteps=%llu converged=%s\n",
-              static_cast<unsigned long long>(res.num_components),
-              static_cast<unsigned long long>(res.supersteps),
-              res.converged ? "yes" : "no");
-  print_stats("flood", res.stats);
-  if (store) {
-    std::printf("durable: commits=%llu bytes=%llu resumes=%llu dir=%s\n",
-                static_cast<unsigned long long>(store->stats().commits),
-                static_cast<unsigned long long>(store->stats().bytes_written),
-                static_cast<unsigned long long>(durable_plane.stats().resumes),
-                opt.durable_dir.c_str());
+/// Open DIR for a program whose frames carry `state_version`. False (after
+/// a diagnostic) on an unusable directory or, with --resume, when no
+/// generation is restorable for this run.
+bool open_durable(const Options& opt, DurableRun& run, std::uint64_t state_version,
+                  std::uint64_t fingerprint) {
+  std::string dir_error;
+  if (!ensure_directory(opt.durable_dir, &dir_error)) {
+    std::fprintf(stderr, "error: --durable-dir: %s\n", dir_error.c_str());
+    return false;
   }
-  return res;
+  run.store.emplace(
+      DurableStoreConfig{opt.durable_dir, /*fsync=*/true, /*keep_generations=*/3, fingerprint});
+  run.plane.set_durable_store(&*run.store);
+  if (!opt.resume) return true;
+  auto rec = RecoveryManager::recover(opt.durable_dir, {state_version, fingerprint, opt.k});
+  if (!rec.ok()) {
+    std::fprintf(stderr, "error: --resume: %s: %s\n", durable_error_name(rec.error().code),
+                 rec.error().message.c_str());
+    return false;
+  }
+  run.recovered = std::move(rec).value();
+  for (const auto& rej : run.recovered->rejected) {
+    std::fprintf(stderr, "resume: skipped generation %llu: %s (%s)\n",
+                 static_cast<unsigned long long>(rej.ordinal),
+                 durable_error_name(rej.error.code), rej.error.message.c_str());
+  }
+  std::printf("resume: superstep %llu from %s\n",
+              static_cast<unsigned long long>(run.recovered->frame.ordinal),
+              run.recovered->path.c_str());
+  run.plane.arm_resume(&run.recovered->frame);
+  return true;
+}
+
+void print_durable_stats(const Options& opt, const DurableRun* run) {
+  if (run == nullptr) return;
+  std::printf("durable: commits=%llu bytes=%llu resumes=%llu dir=%s\n",
+              static_cast<unsigned long long>(run->store->stats().commits),
+              static_cast<unsigned long long>(run->store->stats().bytes_written),
+              static_cast<unsigned long long>(run->plane.stats().resumes),
+              opt.durable_dir.c_str());
 }
 
 /// The --stream-ingest build: per-machine shards straight from the chunked
@@ -376,12 +382,6 @@ DistributedGraph stream_graph(const Options& opt) {
     std::fprintf(stderr,
                  "error: --stream-ingest generates the graph shard-direct; "
                  "--input is incompatible\n");
-    std::exit(2);
-  }
-  if (opt.fault_profile != "none") {
-    std::fprintf(stderr,
-                 "error: --fault-profile is not supported with --stream-ingest "
-                 "(the fault plane rides the superstep runtime; drop one flag)\n");
     std::exit(2);
   }
   if (opt.graph != "gnm" && opt.graph != "rmat") {
@@ -623,8 +623,8 @@ int main(int argc, char** argv) {
   }
 
   // Fault plane: seeded schedule + recovery machinery for the algorithms
-  // that recover (conn/mst via the Borůvka engine's state hooks, flood by
-  // checkpoint/replay).
+  // that recover (conn, mst and flood: checkpointable programs that roll a
+  // crashed machine back and replay it).
   // Corruption profiles are meant to be *caught*: run them with --verify.
   std::optional<FaultSchedule> fault_schedule;
   std::optional<FaultPlane> fault_plane;
@@ -645,6 +645,21 @@ int main(int argc, char** argv) {
                 opt.fault_profile.c_str(),
                 static_cast<unsigned long long>(opt.fault_seed), opt.checkpoint_every);
   }
+  // Durable plane (parse() admits it for conn|mst|flood only, and never
+  // together with --fault-profile).
+  std::optional<DurableRun> durable;
+  if (!opt.durable_dir.empty()) {
+    durable.emplace(opt);
+    const std::uint64_t version =
+        opt.algo == "flood" ? FloodProgram::kStateVersion : BoruvkaEngine::kStateVersion;
+    const std::size_t m = g ? g->num_edges() : opt.m != 0 ? opt.m : 3 * opt.n;
+    if (!open_durable(opt, *durable, version,
+                      durable_fingerprint(opt, g ? &*g : nullptr, n, m))) {
+      return 1;
+    }
+    acfg.fault = &durable->plane;
+  }
+  const DurableRun* durable_run = durable ? &*durable : nullptr;
 
   // Checks against the sequential reference run only when g exists.
   const bool verify = opt.verify && g.has_value();
@@ -659,6 +674,7 @@ int main(int argc, char** argv) {
                 res.forest_edges().size(), res.converged ? "yes" : "no");
     print_stats("conn", res.stats);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
+    print_durable_stats(opt, durable_run);
     if (verify) {
       const bool ok = canonical_labels(res.labels) == ref::component_labels(*g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
@@ -672,6 +688,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(total), res.phases.size());
     print_stats("mst", res.stats);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
+    print_durable_stats(opt, durable_run);
     if (verify) {
       const bool ok = total == ref::msf_weight(*g);
       std::printf("verify: %s\n", ok ? "ok" : "MISMATCH");
@@ -679,11 +696,15 @@ int main(int argc, char** argv) {
     }
   } else if (opt.algo == "flood") {
     FloodingConfig fcfg{runtime};
-    fcfg.fault = fault_plane ? &*fault_plane : nullptr;
-    const auto res = run_flood(opt, cluster, *dg, fcfg, opt.m != 0 ? opt.m : 3 * opt.n);
-    if (!res) return 1;
+    fcfg.fault = acfg.fault;
+    const FloodingResult res = flooding_connectivity(cluster, *dg, fcfg);
+    std::printf("components=%llu supersteps=%llu converged=%s\n",
+                static_cast<unsigned long long>(res.num_components),
+                static_cast<unsigned long long>(res.supersteps), res.converged ? "yes" : "no");
+    print_stats("flood", res.stats);
+    print_durable_stats(opt, durable_run);
     print_fault_stats(fault_plane ? &*fault_plane : nullptr);
-    const std::vector<Label>& labels = res->labels;
+    const std::vector<Label>& labels = res.labels;
     if (verify) {
       // Flooding's contract is exact: labels[v] == smallest vertex id in
       // v's component, so the referee compares raw labels (canonicalizing

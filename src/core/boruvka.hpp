@@ -17,15 +17,25 @@
 // round/bit ledger reflects the full protocol, including label/weight
 // lookups at home machines and all control traffic.
 //
-// Execution: every per-machine protocol segment (sketch construction,
-// proxy-side merges and state transitions, query answering, relabeling) is
-// a superstep handler run on the src/runtime/ engine, so with
-// config.threads > 1 the k machines' local computation proceeds in
-// parallel. Handlers only touch machine-indexed state (machine_parts_[i],
-// proxy_records_[i], ...); the two cross-machine cells — the finished-label
-// flags, set concurrently by several part machines, and nothing else — are
-// atomics. The cluster ledger is identical for every thread count (see
-// runtime/runtime.hpp for why, and tests/test_runtime.cpp for proof).
+// Execution: the engine is one checkpointable MachineProgram (porting
+// recipe rules 8 and 10 in runtime/runtime.hpp). Every machine's state
+// carries its position — phase, protocol segment and elimination or merge
+// iteration — so a handler's next position follows from its own state and
+// inbox alone, and the whole computation is (per-machine words + inbox).
+// run_boruvka drives it step by step until done(), exactly as
+// flooding_connectivity drives FloodProgram, so one recovery mode serves
+// plain runs, in-process crash recovery and durable resume after a process
+// death. The three OR-reduces (active parts, elimination, merge) stay
+// explicit two-superstep control segments: machine 0 collects the reports
+// and broadcasts the outcome, and every other machine reads it from its
+// inbox at the start of its next handler. With config.threads > 1 the k
+// machines' handlers run concurrently; they only write machine-indexed
+// state (machine_parts_[i], proxy_records_[i], builders_[i], ...) and read
+// the live sketch builder, which only the driver rebinds, between steps. A
+// component's finished flag lives on each machine's part entry, read and
+// written only by the machines holding a part of it. The cluster ledger is
+// identical for every thread count (see runtime/runtime.hpp for why, and
+// tests/test_runtime.cpp for proof).
 //
 // Registry contract (the allocation-free sketch plane, mirroring the
 // message plane of PR 3): all per-machine and proxy-side component state
@@ -64,10 +74,9 @@
 //    (cut property), so with distinct weights the union over machines is
 //    exactly the MST.
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -113,10 +122,11 @@ struct BoruvkaConfig : RuntimeConfig {
   /// Section 1.2. Correctness is unaffected; rounds degrade to O~(n/k).
   bool single_coordinator = false;
   /// Optional fault-injection & recovery plane (src/fault/), for the engine
-  /// only. It registers per-machine state hooks covering parts, labels,
-  /// pending resends, proxy records and recorded output edges, so scheduled
-  /// crashes roll the victim back instead of aborting; null is
-  /// bit-identical. The extra passes built from this config run without it.
+  /// only. The engine checkpoints every C supersteps, so scheduled crashes
+  /// roll the victim back and replay it instead of aborting, and a
+  /// DurableStore attached to the plane receives every checkpoint as a
+  /// resume frame; null is bit-identical. The extra passes built from this
+  /// config run without it.
   FaultPlane* fault = nullptr;
 };
 
@@ -139,6 +149,10 @@ struct BoruvkaResult {
   /// Confirmed MWOEs, per recording machine (kMst).
   std::vector<std::vector<WeightedEdge>> mst_by_machine;
 
+  /// Per-phase instrumentation, kept by the driver between supersteps. A
+  /// run resumed from a durable frame reports only the phases its own
+  /// process started, and max_merge_iterations only the phases it
+  /// finished; every other field covers the whole computation.
   std::vector<PhaseTrace> phases;
   std::uint32_t max_merge_iterations = 0;   // max DRR merge depth over phases
   std::uint64_t sampler_retries = 0;  // sample() failures on nonzero or undecodable sketches
@@ -149,12 +163,32 @@ struct BoruvkaResult {
   [[nodiscard]] std::vector<WeightedEdge> mst_edges() const;
 };
 
-class BoruvkaEngine {
+/// The engine as a checkpointable program; run_boruvka is its driver.
+class BoruvkaEngine final : public MachineProgram {
  public:
-  BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg, BoruvkaConfig config,
+  /// Bumped on any change to the snapshot word layout (rule 10).
+  static constexpr std::uint64_t kStateVersion = 1;
+
+  BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg, const BoruvkaConfig& config,
                 BoruvkaMode mode);
 
-  BoruvkaResult run();
+  void on_superstep(MachineId self, std::span<const Message> inbox, Outbox& out) override;
+  [[nodiscard]] bool done() const override;
+  [[nodiscard]] bool checkpointable() const override { return true; }
+  void snapshot(MachineId m, WordWriter& out) override;
+  void restore(MachineId m, WordReader& in) override;
+  [[nodiscard]] std::uint64_t state_version() const override { return kStateVersion; }
+
+  /// The mode of the next superstep, read off machine 0's position (all
+  /// machines move in lockstep): kInline for the control segments.
+  [[nodiscard]] StepMode next_mode() const;
+  /// Driver-side work after each step, keyed on the position that step
+  /// left: binding the live sketch builder when an elimination iteration
+  /// begins, the Section 2.2 randomness charge when a phase begins, and the
+  /// phase trace when one ends.
+  void after_step();
+  /// The result once done() (the program is spent).
+  [[nodiscard]] BoruvkaResult take_result();
 
  private:
   enum State : std::uint8_t {
@@ -163,6 +197,55 @@ class BoruvkaEngine {
     kAwaitLabel = 2,
     kDone = 3,
     kFinishedState = 4,
+  };
+
+  /// One superstep each. A *Decide segment is held by machines other than
+  /// machine 0 after an OR-reduce broadcast: their next handler reads the
+  /// outcome from the inbox before running the segment it selects. Machine
+  /// 0 computes the outcome itself and moves on at once.
+  enum Segment : std::uint8_t {
+    kActiveReport,  // OR-reduce: does any machine hold an unfinished part?
+    kActiveBcast,
+    kActiveDecide,
+    kSketch,        // SS1: part sketches (and proxy record handoffs)
+    kProxy,         // proxy-side sums and state transitions
+    kQuery,         // SS2: label/weight queries, directives
+    kReply,         // SS3: replies
+    kThreshold,     // SS4: threshold directives
+    kElimReport,    // OR-reduce: is any component still searching?
+    kElimBcast,
+    kElimDecide,
+    kDrr,           // DRR ranking
+    kChildReg,      // child registration
+    kMergeReport,   // OR-reduce: is any record still a child?
+    kMergeBcast,
+    kMergeDecide,
+    kHandoff,       // merge iteration: record handoff to fresh proxies
+    kMerge,         // merge leaves into parents
+    kApply,         // relabel parts, child-done bookkeeping
+    kCountProxy,    // counting protocol
+    kCountRoot,
+    kCountTotal,
+    kFinished,
+    kSegmentCount,
+  };
+
+  /// A machine's position and control words (rule 8: position is data).
+  struct Control {
+    std::uint32_t phase = 0;
+    Segment seg = kActiveReport;
+    std::uint32_t t = 0;    // elimination iteration; the DRR's proxy generation
+    std::uint32_t rho = 0;  // merge iteration
+    bool bit = false;       // OR-reduce input; machine 0 reads its own at the broadcast
+    bool converged = false; // outcome of the last activity reduce
+    std::uint64_t components = 0;  // counting protocol's total (machine 0)
+  };
+
+  /// A component part held by one machine. `finished` is set by the finish
+  /// directive, which reaches every machine holding a part of the label.
+  struct Part {
+    std::vector<Vertex> verts;
+    bool finished = false;
   };
 
   /// Proxy-side component record; travels between proxy generations in
@@ -193,34 +276,48 @@ class BoruvkaEngine {
     }
   };
 
-  // -- phase steps ---------------------------------------------------------
-  void charge_phase_randomness();
-  bool any_active_parts();
-  std::uint32_t run_elimination_loop(std::uint32_t phase);
-  void run_drr_step(std::uint32_t phase, std::uint32_t proxy_gen);
-  std::uint32_t run_merge_loop(std::uint32_t phase, std::uint32_t last_gen);
-  void run_component_count();
+  // -- position transitions (machine i, from its own state and inbox) ------
+  void enter_after_active(MachineId i, bool any);
+  void enter_iteration(MachineId i, std::uint32_t t);
+  void enter_after_elim(MachineId i, bool any);
+  void enter_after_merge(MachineId i, bool any);
+  void report(MachineId i, Outbox& out, std::uint32_t tag, bool bit);
+  [[nodiscard]] bool broadcast(std::span<const Message> inbox, Outbox& out,
+                               std::uint32_t tag);
+
+  // -- segment handlers ----------------------------------------------------
+  [[nodiscard]] bool has_active_parts(MachineId i) const;
+  void sketch_step(MachineId i, Outbox& out);
+  void proxy_step(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void query_step(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void reply_step(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void apply_directives(MachineId i, std::span<const Message> inbox);
+  void drr_step(MachineId i, Outbox& out);
+  void child_reg_step(MachineId i, std::span<const Message> inbox);
+  void merge_step(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void apply_step(MachineId i, std::span<const Message> inbox);
+  void count_proxy_step(MachineId i, Outbox& out);
+  void count_root_step(MachineId i, std::span<const Message> inbox, Outbox& out);
+  void count_total_step(MachineId i, std::span<const Message> inbox, Outbox& out);
 
   // -- helpers -------------------------------------------------------------
+  void charge_phase_randomness();
   [[nodiscard]] ProxyMap elimination_proxies(std::uint32_t phase, std::uint32_t t) const;
   [[nodiscard]] ProxyMap merge_proxies(std::uint32_t phase, std::uint32_t rho) const;
-  /// Bind (or rebind) the long-lived sketch builder to this iteration's
-  /// shared seed; allocation-free after the first call.
-  const GraphSketchBuilder& bind_builder(std::uint64_t sketch_seed);
+  /// A sketch builder bound to the shared seed of machine i's own
+  /// (phase, t), so a replayed or resumed machine sketches with its own
+  /// iteration's seed: the live builder when it holds that seed, else
+  /// machine i's own. Allocation-free after the first call.
+  const GraphSketchBuilder& builder_for(MachineId i);
+  const GraphSketchBuilder& bind_builder(std::optional<GraphSketchBuilder>& builder,
+                                         std::uint64_t seed);
+  /// A record's words: the handoff payload and the snapshot entry.
+  static void write_record(WordWriter& w, Label label, const Record& rec);
   void send_handoffs(LabelRegistry<Record>& from, Outbox& out, const ProxyMap& to,
                      WordWriter& w);
   void apply_handoff(WordReader& reader, LabelRegistry<Record>& into);
   void relabel_part(MachineId machine, Label from, Label to);
   [[nodiscard]] std::uint64_t count_distinct_labels();  // instrumentation only
-
-  // -- fault-plane state hooks (porting recipe rule 8b) --------------------
-  // Serialize / rebuild machine m's complete cross-step state. Deliberately
-  // excluded: finished_ (monotone one-way flags = replicated stable
-  // storage) and all within-step scratch (sum_slots_, sketch_pool_,
-  // writer_, *_scratch_ except the OR-reduce bits), which is re-cleared
-  // before every use.
-  void snapshot_machine(MachineId m, WordWriter& w);
-  void restore_machine(MachineId m, WordReader& r);
 
   [[nodiscard]] std::size_t mask_words() const { return (cluster_->k() + 63) / 64; }
   static void mask_set(std::vector<std::uint64_t>& mask, MachineId m) {
@@ -249,21 +346,21 @@ class BoruvkaEngine {
   SharedRandomness shared_;
   std::size_t n_;
   std::uint64_t label_bits_;  // wire bits of one label / vertex id
-  Runtime runtime_;           // parallel superstep executor over cluster_
+  std::uint32_t max_phases_;  // config_.max_phases or the Lemma 7 bound
 
-  // Home-machine state. All containers below are indexed by machine and
-  // each superstep handler touches only its own slot — the property that
-  // makes the per-machine handlers race-free without locks. Registries are
-  // flat and capacity-retaining (see the registry contract above).
-  std::vector<LabelRegistry<std::vector<Vertex>>> machine_parts_;
+  // Machine state. All containers below are indexed by machine and each
+  // superstep handler touches only its own slot — the property that makes
+  // the per-machine handlers race-free without locks. Registries are flat
+  // and capacity-retaining (see the registry contract above). snapshot()
+  // serializes ctl_, machine_parts_, resend_, labels_ of hosted vertices,
+  // proxy_records_, the sampler retry counter and the recorded output
+  // edges; everything else is rebuilt within one step.
+  std::vector<Control> ctl_;
+  std::vector<LabelRegistry<Part>> machine_parts_;
   // Labels to re-sketch next iteration; the payload is the current MST
   // elimination threshold (kNoWeightLimit in connectivity mode / on entry).
   std::vector<LabelRegistry<Weight>> resend_;
   std::vector<Label> labels_;    // labels_[v], authoritative at home(v)
-  // finished_[label]: set (0 -> 1 only) concurrently by every part machine
-  // receiving the finish directive; atomic because several machines may
-  // hold parts of the same component. Read between supersteps.
-  std::unique_ptr<std::atomic<std::uint8_t>[]> finished_;
   std::vector<std::uint64_t> sampler_retries_by_machine_;
 
   // Proxy-side records for the current proxy generation.
@@ -275,9 +372,17 @@ class BoruvkaEngine {
   // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
   // draw zeroed accumulators from here instead of constructing sketches.
   std::vector<SketchPool> sketch_pool_;
-  // One builder for the whole run, rebound per iteration (power table
-  // refilled in place); read-only inside handlers.
-  std::optional<GraphSketchBuilder> builder_;
+  // Sketch builders (power tables refilled in place on rebind). The live
+  // builder is rebound only by the driver, between steps, to the iteration
+  // machine 0 enters, so no handler ever rebinds a builder another machine
+  // reads. A machine whose position needs another seed — replayed through
+  // an older iteration by the fault plane, or restored from a frame inside
+  // the first step of a resumed process, after the driver's last chance to
+  // bind — rebinds its own builder instead. One builder per machine for
+  // every step would rebind k power tables per iteration (measured: about
+  // 7 % more wall time on perfbench pipeline-gnm).
+  std::optional<GraphSketchBuilder> live_builder_;
+  std::vector<std::optional<GraphSketchBuilder>> builders_;
 
   // Per-machine scratch (machine-indexed like the state above, so handlers
   // stay race-free); cleared between uses with capacity retained, so the
@@ -285,10 +390,17 @@ class BoruvkaEngine {
   std::vector<WordWriter> writer_;
   std::vector<std::vector<std::uint64_t>> mask_scratch_;   // child-src masks
   std::vector<std::vector<Label>> label_scratch_;  // finished/merged/count lists
-  std::vector<char> bit_scratch_;   // per-machine flags for the OR-reduces
-  std::vector<char> seen_scratch_;  // per-vertex marks for label counting
+  std::vector<char> seen_scratch_;  // per-vertex marks for label counting (driver)
 
+  std::optional<PhaseTrace> open_trace_;  // the phase this process saw begin
+  std::uint64_t trace_rounds_before_ = 0;
   BoruvkaResult result_;
 };
+
+/// Run the engine on `dg` until done(): the one driver behind
+/// connected_components and minimum_spanning_forest. config.fault carries
+/// the recovery plane (crash schedule, durable store, armed resume frame).
+[[nodiscard]] BoruvkaResult run_boruvka(Cluster& cluster, const DistributedGraph& dg,
+                                        const BoruvkaConfig& config, BoruvkaMode mode);
 
 }  // namespace kmm

@@ -43,16 +43,25 @@ class StatsScope {
   std::uint64_t rounds0_, msgs0_, bits0_, steps0_;
 };
 
-/// Distributed boolean OR + broadcast of the result ("does anyone still
-/// have work?"). Machines with a set bit report to M1 (machine 0), which
-/// broadcasts the OR back; costs 2 supersteps with at most k-1 one-bit
-/// messages each — the paper's standard O(1)-round control primitive.
-/// Runs as two StepMode::kInline control-plane supersteps on `rt`.
-[[nodiscard]] bool or_reduce_broadcast(Runtime& rt, const std::vector<char>& machine_bit,
-                                       std::uint32_t tag);
+// Snapshot decoding (porting recipe rule 10 in runtime.hpp): restore()
+// reads words a frame carried from disk, and a checksummed frame can still
+// carry any word. Each reader takes one word (or aborts on underrun) and
+// aborts with `diagnostic`, which names the field, when it is out of range.
 
-/// Distributed sum of per-machine counters at M1, broadcast back.
-/// Same two-superstep pattern with counter payloads.
+/// A word below `bound`.
+[[nodiscard]] std::uint64_t restore_below(WordReader& in, std::uint64_t bound,
+                                          const char* diagnostic);
+/// A 0/1 flag word.
+[[nodiscard]] bool restore_flag(WordReader& in, const char* diagnostic);
+/// A count of entries of at least `words_each` words, which must fit in
+/// the words left.
+[[nodiscard]] std::uint64_t restore_count(WordReader& in, std::size_t words_each,
+                                          const char* diagnostic);
+
+/// Distributed sum of per-machine counters at M1 (machine 0), broadcast
+/// back: 2 supersteps with at most k-1 counter messages each — the paper's
+/// standard O(1)-round control primitive. Runs as two StepMode::kInline
+/// control-plane supersteps on `rt`.
 [[nodiscard]] std::uint64_t sum_reduce_broadcast(Runtime& rt,
                                                  const std::vector<std::uint64_t>& machine_value,
                                                  std::uint32_t tag);

@@ -16,8 +16,7 @@ BoruvkaResult connected_components(Cluster& cluster, const DistributedGraph& dg,
     trivial.mst_by_machine.resize(cluster.k());
     return trivial;
   }
-  BoruvkaEngine engine(cluster, dg, config, BoruvkaMode::kConnectivity);
-  return engine.run();
+  return run_boruvka(cluster, dg, config, BoruvkaMode::kConnectivity);
 }
 
 std::vector<Vertex> canonical_labels(const std::vector<Label>& labels) {

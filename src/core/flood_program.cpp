@@ -11,15 +11,6 @@ namespace kmm {
 namespace {
 constexpr std::uint32_t kTagCtrl = 2;
 static_assert(kTagCtrl != FloodExchange::kTag);
-
-/// A restored flag word must be 0 or 1; a checksummed frame can still
-/// carry anything, so say which field was not.
-char restore_flag(WordReader& in, const char* diagnostic) {
-  const std::uint64_t word = in.u64();
-  KMM_CHECK_MSG(word <= 1, diagnostic);
-  return static_cast<char>(word);
-}
-
 }  // namespace
 
 FloodProgram::FloodProgram(const DistributedGraph& dg, MachineId k)
@@ -94,8 +85,8 @@ void FloodProgram::restore(MachineId m, WordReader& in) {
   sent_[m] = restore_flag(in, "flood restore: `sent` flag word is not 0/1");
   done_[m] = restore_flag(in, "flood restore: `done` flag word is not 0/1");
   for (const Vertex v : dg_->vertices_of(m)) {
-    labels_[v] = in.u64();
-    KMM_CHECK_MSG(labels_[v] <= v, "flood restore: `label` word exceeds its vertex id");
+    labels_[v] = restore_below(in, std::uint64_t{v} + 1,
+                               "flood restore: `label` word exceeds its vertex id");
     changed_[v] = restore_flag(in, "flood restore: `changed` flag word is not 0/1");
   }
 }

@@ -1,6 +1,6 @@
 #pragma once
 // Min-label flooding connectivity as a *checkpointable MachineProgram*
-// (rules 8a and 10 in runtime.hpp's porting recipe) — the one flooding
+// (rules 8 and 10 in runtime.hpp's porting recipe) — the one flooding
 // engine, driven by flooding_connectivity (core/flooding.hpp).
 //
 // The whole iteration is ONE uniform superstep handler — apply inbound

@@ -31,8 +31,7 @@ BoruvkaResult minimum_spanning_forest(Cluster& cluster, const DistributedGraph& 
                   "MST exactness requires distinct edge weights "
                   "(see with_unique_weights)");
   }
-  BoruvkaEngine engine(cluster, dg, config, BoruvkaMode::kMst);
-  return engine.run();
+  return run_boruvka(cluster, dg, config, BoruvkaMode::kMst);
 }
 
 StrictMstOutput announce_mst_to_home_machines(Cluster& cluster, const DistributedGraph& dg,

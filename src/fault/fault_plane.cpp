@@ -11,9 +11,8 @@ namespace kmm {
 namespace {
 
 constexpr char kRule8Msg[] =
-    "fault plane: crash injected into a program that is neither checkpointable "
-    "nor covered by registered state hooks — see porting recipe rule 8 in "
-    "runtime.hpp";
+    "fault plane: crash injected into a program that is not checkpointable — "
+    "see porting recipe rule 8 in runtime.hpp";
 
 inline std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept {
   return a == 0 ? 0 : (a + b - 1) / b;
@@ -29,25 +28,19 @@ void FaultPlane::ensure_k(MachineId k) {
   overhead_bits_.assign(static_cast<std::size_t>(k) * k, 0);
   link_seq_.assign(static_cast<std::size_t>(k) * k, 0);
   store_.ensure(k);
-  hook_store_.ensure(k);
   replay_shard_.resize(k);
   ring_.resize(config_.checkpoint_every);
   for (RingSlot& slot : ring_) slot.inbox.resize(k);
 }
 
-void FaultPlane::checkpoint_all(Cluster& cluster, MachineProgram& program,
-                                CheckpointStore& store, bool via_hooks) {
+void FaultPlane::checkpoint_all(Cluster& cluster, MachineProgram& program) {
   const MachineId k = cluster.k();
   for (MachineId m = 0; m < k; ++m) {
-    WordWriter& w = store.writer(m);
-    if (via_hooks) {
-      snapshot_(m, w);
-    } else {
-      program.snapshot(m, w);
-    }
+    WordWriter& w = store_.writer(m);
+    program.snapshot(m, w);
     stats_.checkpoint_words += w.size();
   }
-  store.set_step(ordinal_);
+  store_.set_step(ordinal_);
   ++stats_.checkpoints;
 }
 
@@ -76,30 +69,13 @@ std::size_t FaultPlane::begin_step(Cluster& cluster, MachineProgram& program) {
 
   if ((ckpt_active || durable_active) && checkpointable &&
       ordinal_ % config_.checkpoint_every == 0) {
-    checkpoint_all(cluster, program, store_, /*via_hooks=*/false);
+    checkpoint_all(cluster, program);
     if (durable_active) durable_commit(cluster, program);
-  }
-  if (!crash_scratch_.empty() && !checkpointable && restore_ != nullptr) {
-    // Hook mode has no replay log (the per-step lambdas are gone once a
-    // step retires), so the "checkpoint" is taken at the crash instant and
-    // the victim is rebuilt purely from the serialized words — a round-trip
-    // that fails loudly whenever the hooks miss a piece of state.
-    checkpoint_all(cluster, program, hook_store_, /*via_hooks=*/true);
   }
 
   if (!crash_scratch_.empty()) {
-    if (checkpointable) {
-      recover_checkpointable(cluster, program);
-    } else if (restore_ != nullptr) {
-      for (const FaultSchedule::Crash& c : crash_scratch_) {
-        WordReader r(hook_store_.words(c.machine));
-        restore_(c.machine, r);
-        KMM_CHECK_MSG(r.done(), "fault plane: state hook restore left unread words");
-        ++stats_.restores;
-      }
-    } else {
-      KMM_CHECK_MSG(false, kRule8Msg);
-    }
+    KMM_CHECK_MSG(checkpointable, kRule8Msg);
+    recover_checkpointable(cluster, program);
     unsigned stall = 0;
     for (const FaultSchedule::Crash& c : crash_scratch_) {
       rebuild_inbox(cluster, c.machine);

@@ -10,21 +10,16 @@
 // algorithms *correct* through it:
 //
 //  * Machine crashes. At the scheduled superstep the victim loses its
-//    in-memory state and current inbox. Recovery depends on the program:
-//      - checkpointable MachinePrograms (snapshot/restore overrides, e.g.
-//        FloodProgram) are checkpointed every C supersteps into a
-//        CheckpointStore; the victim is rolled back to the last checkpoint
-//        and its logged inboxes are replayed (sends during replay are
-//        discarded — receivers already processed them; the per-link
-//        sequence numbers of the transit protocol below are exactly the
-//        duplicate-suppression a real retransmit needs);
-//      - the lambda-driven Borůvka engine registers state hooks
-//        (StateHookScope): the plane snapshots every machine at the crash
-//        instant and rebuilds the victim purely from the serialized words —
-//        an honest restore-from-words round-trip validating that the hooks
-//        capture the complete state.
-//      A program with neither aborts with a pointer to rule 8 in
-//      runtime.hpp.
+//    in-memory state and current inbox. Recovered programs are
+//    checkpointable MachinePrograms (snapshot/restore overrides, e.g.
+//    FloodProgram and the Borůvka engine): they are checkpointed every C
+//    supersteps into a CheckpointStore; the victim is rolled back to the
+//    last checkpoint and its logged inboxes are replayed (sends during
+//    replay are discarded — receivers already processed them; the
+//    per-link sequence numbers of the transit protocol below are exactly
+//    the duplicate-suppression a real retransmit needs). A crash injected
+//    into any other program aborts with a pointer to rule 8 in
+//    runtime.hpp.
 //    The victim's lost inbox is rebuilt by retransmission from the senders'
 //    outbox logs: rounds are charged for the stall (R) plus the per-link
 //    retransmit cost, ceil(bits/bandwidth) maxed over inbound links — the
@@ -57,7 +52,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -104,7 +98,7 @@ struct QueryKilled {
 struct FaultStats {
   std::uint64_t crashes = 0;          // machines crashed (watchdog trips included)
   std::uint64_t watchdog_trips = 0;   // crashes that were scheduled hangs
-  std::uint64_t restores = 0;         // checkpoint/hook restores performed
+  std::uint64_t restores = 0;         // crashed machines restored from a checkpoint
   std::uint64_t replayed_steps = 0;   // logged supersteps replayed after rollback
   std::uint64_t checkpoints = 0;      // checkpoint generations taken
   std::uint64_t checkpoint_words = 0; // total words serialized into checkpoints
@@ -129,22 +123,6 @@ class FaultPlane {
 
   FaultPlane(const FaultPlane&) = delete;
   FaultPlane& operator=(const FaultPlane&) = delete;
-
-  /// Per-machine algorithm-state serialization hooks for the lambda-driven
-  /// Borůvka engine (no persistent MachineProgram). snapshot(m, w) must write and
-  /// restore(m, r) fully consume machine m's complete state.
-  using SnapshotFn = std::function<void(MachineId, WordWriter&)>;
-  using RestoreFn = std::function<void(MachineId, WordReader&)>;
-
-  void set_state_hooks(SnapshotFn snapshot, RestoreFn restore) {
-    snapshot_ = std::move(snapshot);
-    restore_ = std::move(restore);
-  }
-  void clear_state_hooks() {
-    snapshot_ = nullptr;
-    restore_ = nullptr;
-  }
-  [[nodiscard]] bool has_state_hooks() const noexcept { return restore_ != nullptr; }
 
   // ------------------------------------------------ Durable tee & resume
   // (src/durable/): with a store attached, every cadence checkpoint of a
@@ -209,8 +187,7 @@ class FaultPlane {
 
  private:
   void ensure_k(MachineId k);
-  void checkpoint_all(Cluster& cluster, MachineProgram& program, CheckpointStore& store,
-                      bool via_hooks);
+  void checkpoint_all(Cluster& cluster, MachineProgram& program);
   void recover_checkpointable(Cluster& cluster, MachineProgram& program);
   void rebuild_inbox(Cluster& cluster, MachineId victim);
   void log_inboxes(Cluster& cluster);
@@ -236,11 +213,7 @@ class FaultPlane {
   std::uint64_t step_events_ = 0;  // timeline column accumulator
   MachineId k_ = 0;
 
-  SnapshotFn snapshot_;
-  RestoreFn restore_;
-
   CheckpointStore store_;       // checkpointable-program generations (cadence C)
-  CheckpointStore hook_store_;  // hook-mode crash-instant snapshots
   DurableStore* durable_ = nullptr;            // borrowed on-disk tee; nullable
   const DurableFrame* pending_resume_ = nullptr;  // applied at the next begin_step
   std::vector<RingSlot> ring_;  // C slots of logged inboxes for replay
@@ -254,26 +227,6 @@ class FaultPlane {
   std::vector<TransitMsg> transit_scratch_;    // per-bucket transit emulation
   std::vector<std::uint64_t> corrupt_words_;   // payload rewrite scratch
   std::vector<std::uint64_t> link_seq_;        // k*k cumulative sequence numbers
-};
-
-/// RAII registration of hook-mode state serializers on a plane (the pattern
-/// the Borůvka engine uses): hooks are cleared on
-/// scope exit so a plane outliving the run cannot call into dead state.
-class StateHookScope {
- public:
-  StateHookScope(FaultPlane* plane, FaultPlane::SnapshotFn snapshot,
-                 FaultPlane::RestoreFn restore)
-      : plane_(plane) {
-    if (plane_ != nullptr) plane_->set_state_hooks(std::move(snapshot), std::move(restore));
-  }
-  ~StateHookScope() {
-    if (plane_ != nullptr) plane_->clear_state_hooks();
-  }
-  StateHookScope(const StateHookScope&) = delete;
-  StateHookScope& operator=(const StateHookScope&) = delete;
-
- private:
-  FaultPlane* plane_;
 };
 
 }  // namespace kmm

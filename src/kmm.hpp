@@ -30,8 +30,8 @@
 //   fault      — opt-in fault injection & recovery: a seeded, bit-
 //                reproducible FaultSchedule (machine crashes, lossy links,
 //                payload corruption) plus the FaultPlane recovery machinery
-//                (superstep checkpoint/replay, state-hook rollback,
-//                retransmit-from-outbox), attached through the `fault`
+//                (superstep checkpoint/replay of checkpointable
+//                programs, retransmit-from-outbox), attached through the `fault`
 //                field of the configs whose engines recover (off by
 //                default; detached is bit-identical)
 //   durable    — the durable checkpoint & restart plane: checksummed

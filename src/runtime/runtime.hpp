@@ -53,8 +53,12 @@
 //   3. Shared state must become machine-indexed: state[i] (or labels[v]
 //      with home(v) == i) is written only by handler i. FloodProgram's
 //      shared labels/changed vectors follow this partition and assert it on
-//      the receive path; anything genuinely cross-machine must be atomic and
-//      only read between steps (see finished_ in the Borůvka engine).
+//      the receive path. Per-component state follows the machines that
+//      hold the component: the Borůvka engine keeps a component's finished
+//      flag on each machine's part entry, read and written only by the
+//      machines holding a part of it. Whole-cluster state (the Borůvka
+//      phase trace's label count) is read only between steps, on the
+//      driving thread.
 //   4. One-word control-plane steps (OR/sum reduces, verdict broadcasts,
 //      single-machine referee solves) pass StepMode::kInline — the pool
 //      dispatch would cost more than the handler work, and the modes are
@@ -84,29 +88,24 @@
 //      Cluster::charge_rounds() between steps is fine — the timeline folds
 //      the charge into the next recorded row.
 //   8. To survive the fault plane (src/fault/, the Runtime constructor's
-//      third argument), a program must be recoverable in one of two ways,
-//      preferred first:
-//      (a) a persistent MachineProgram overrides checkpointable() -> true
-//          plus snapshot(m, WordWriter&)/restore(m, WordReader&) such that
-//          restore rebuilds machine m's state *exactly* from the words
-//          snapshot wrote (and consumes all of them) — the plane then
-//          checkpoints every C steps and replays crashed machines through
-//          their logged inboxes; serialize everything a handler reads
-//          across steps, and nothing that is rebuilt within one step
-//          (scratch buffers, per-step accumulators);
-//      (b) the lambda-driven Borůvka engine registers FaultPlane state
-//          hooks for the run (StateHookScope, see core/boruvka.cpp) with
-//          the same snapshot/restore contract per machine. It is the only
-//          hook-mode engine; new engines take (a).
-//      A crash injected into a program that offers neither aborts with a
-//      pointer to this rule. Only the configs of engines that recover
-//      (BoruvkaConfig, FloodingConfig) declare a `fault` field; every
-//      other entry point builds its Runtime from a RuntimeConfig, which
-//      cannot carry a plane. Monotone one-way shared flags (e.g. the
-//      Borůvka engine's finished_ bits) may be treated as replicated
-//      stable storage and left out of snapshots; anything a machine could
-//      observe at two different values across a rollback must be
-//      serialized.
+//      third argument), a program must be a persistent MachineProgram that
+//      overrides checkpointable() -> true plus snapshot(m, WordWriter&)/
+//      restore(m, WordReader&) such that restore rebuilds machine m's state
+//      *exactly* from the words snapshot wrote (and consumes all of them).
+//      The plane then checkpoints every C steps and replays crashed
+//      machines through their logged inboxes, and the same snapshots become
+//      durable resume frames (rule 10). Serialize everything a handler
+//      reads across steps — including the program's position: which
+//      segment, phase and iteration comes next is per-machine data, never
+//      driver-loop state, so a handler's next position follows from its
+//      own state and inbox alone (FloodProgram and the Borůvka engine are
+//      the two examples) — and nothing that is rebuilt within one step
+//      (scratch buffers, per-step accumulators, tables derived from the
+//      position such as a sketch builder bound to the iteration's seed).
+//      A crash injected into any other program aborts with a pointer to
+//      this rule. Only the configs of engines that recover (BoruvkaConfig,
+//      FloodingConfig) declare a `fault` field; every other entry point
+//      builds its Runtime from a RuntimeConfig, which cannot carry a plane.
 //   9. Cancellation points and state-release obligations. When a
 //      CancelPoint rides RuntimeConfig::cancel (the serving layer's seam,
 //      src/serve/cancel.hpp), Runtime::step calls check() on the driver
@@ -116,9 +115,10 @@
 //      so a MachineProgram must satisfy two obligations to be servable:
 //      (a) every resource a run acquires must be released by unwinding —
 //          keep engine state (registries, sketch pools, arenas, scratch) in
-//          RAII members of a stack-local engine/driver and register
-//          cross-object attachments through scopes (StateHookScope is the
-//          model); never leak a raw registration that outlives the throw;
+//          RAII members of a stack-local engine/driver and borrow
+//          cross-object attachments (obs sinks, the fault plane, the
+//          cancel point) for the run's lifetime only; never leave a raw
+//          registration behind that outlives the throw;
 //      (b) handlers must NOT contain their own blocking or cancellation
 //          logic — a handler span is pure local compute (rule 7) and is
 //          never interrupted mid-step; cancellation granularity is exactly
@@ -141,13 +141,18 @@
 //      (field order, widths, meaning — not just size). The version is
 //      stamped into every frame; RecoveryManager rejects mismatches as
 //      structured kStateVersionMismatch errors instead of misdecoding a
-//      stale generation. Only rule-8(a) programs are durably resumable:
-//      the hook-mode Borůvka engine (8b) survives in-process crashes but
-//      its driver loop's control position dies with the process. Durable
-//      resume additionally relies on rules 1-6: the frame captures (state,
-//      inbox, ledger, ordinal) at a superstep boundary, and bit-identical
-//      continuation holds only because re-execution from that boundary is
-//      deterministic in everything but thread count.
+//      stale generation. Treat restore() as a decoder of disk bytes: a
+//      checksummed frame can still carry any word, so reject out-of-range
+//      words with a KMM_CHECK that names the field. A resumed process
+//      restores the frame inside its first Runtime::step, after the driver
+//      loop's last chance to act, so the driver may only do work keyed on
+//      the position a step left (the Borůvka engine's randomness charge
+//      and phase trace); the frame's ledger already holds every charge made
+//      before it was taken. Durable resume additionally relies on rules
+//      1-6: the frame captures (state, inbox, ledger, ordinal) at a
+//      superstep boundary, and bit-identical continuation holds only
+//      because re-execution from that boundary is deterministic in
+//      everything but thread count.
 //
 // Because delivery walks the shards in ascending source order, each inbox
 // receives a ported algorithm's messages in the order of the original loop:
@@ -218,7 +223,8 @@ using SuperstepFn = std::function<void(MachineId, std::span<const Message>, Outb
 namespace detail {
 
 /// Borrows an ad-hoc handler as a MachineProgram for one step — a stack
-/// adapter, so dispatching a lambda superstep allocates nothing.
+/// adapter, so dispatching a lambda superstep allocates nothing. It is not
+/// checkpointable: a fault plane aborts on a crash in such a step (rule 8).
 template <typename Fn>
 class FnProgram final : public MachineProgram {
  public:
@@ -272,9 +278,10 @@ class Runtime {
   /// free.
   std::uint64_t step(MachineProgram& program, StepMode mode = StepMode::kParallel);
 
-  /// Same, with an ad-hoc handler — the porting seam for algorithms written
-  /// as explicit superstep sequences rather than one monolithic state
-  /// machine (the Borůvka engine drives one of these per protocol segment).
+  /// Same, with an ad-hoc handler — the porting seam for short algorithms
+  /// written as explicit superstep sequences (the verifiers' and
+  /// referee's exchanges, sum_reduce_broadcast); such a driver keeps its
+  /// position on the C++ stack, so it cannot recover from a crash (rule 8).
   /// The callable is borrowed for the duration of the call; no
   /// std::function is constructed, keeping the dispatch allocation-free.
   template <typename Fn>

@@ -204,7 +204,7 @@ TEST(DurablePlane, FrameRoundTripsBitForBit) {
 
 // --------------------------------------- durable resume of a MachineProgram
 
-/// Minimal checkpointable program (the rule-8a ring from test_fault, with a
+/// Minimal checkpointable program (the rule-8 ring from test_fault, with a
 /// serialized-state version): every machine folds received words into a
 /// running value and forwards a token for `target` supersteps.
 class DurableRing final : public MachineProgram {
@@ -484,6 +484,160 @@ TEST(DurablePlaneDeath, FloodRestoreRejectsOutOfRangeWords) {
       (void)flooding_connectivity(cluster, dg, cfg);
     };
     EXPECT_DEATH(resume(), c.diagnostic) << c.name;
+  }
+}
+
+// ---------------------------- durable resume of connectivity and MST
+
+/// What an uninterrupted Borůvka run and a resumed one must agree on: the
+/// answer in full and the complete ledger.
+struct BoruvkaOutcome {
+  std::vector<Label> labels;
+  std::uint64_t num_components = 0;
+  bool converged = false;
+  std::vector<std::pair<Vertex, Vertex>> forest;
+  std::vector<WeightedEdge> mst;
+  std::uint64_t sampler_retries = 0;
+  std::vector<std::uint64_t> ledger;
+  bool operator==(const BoruvkaOutcome&) const = default;
+};
+
+BoruvkaOutcome run_engine(BoruvkaMode mode, const DistributedGraph& dg, MachineId k,
+                          const BoruvkaConfig& cfg) {
+  Cluster cluster(ClusterConfig::for_graph(dg.num_vertices(), k));
+  const BoruvkaResult res = mode == BoruvkaMode::kMst
+                                ? minimum_spanning_forest(cluster, dg, cfg)
+                                : connected_components(cluster, dg, cfg);
+  return BoruvkaOutcome{res.labels,      res.num_components, res.converged,
+                        res.forest_edges(), res.mst_edges(),  res.sampler_retries,
+                        ledger_words(cluster.stats())};
+}
+
+TEST(DurablePlane, ConnectivityAndMstResumeFromEveryGeneration) {
+  Rng wrng(3);
+  const Graph g = with_unique_weights(with_random_weights(test_graph(128, 21), wrng, 100000));
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 8;
+  constexpr unsigned kCadence = 3;
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 7));
+  const FaultSchedule quiet(1);
+
+  for (const BoruvkaMode mode : {BoruvkaMode::kConnectivity, BoruvkaMode::kMst}) {
+    const char* name = mode == BoruvkaMode::kMst ? "mst" : "conn";
+    BoruvkaConfig base;
+    base.seed = 11;
+
+    // Uninterrupted reference run; a silent plane counts its supersteps.
+    FaultPlane counter(quiet);
+    BoruvkaConfig cfg = base;
+    cfg.fault = &counter;
+    const BoruvkaOutcome expect = run_engine(mode, dg, k, cfg);
+    ASSERT_TRUE(expect.converged) << name;
+    const std::uint64_t total = counter.step_ordinal();
+    ASSERT_GT(total, 2 * kCadence) << name;
+
+    // First lifetime: stopped two supersteps before the end, with every
+    // generation kept, so the frames cover every segment of the run.
+    const std::string dir = temp_dir(name);
+    {
+      DurableStore store({dir, /*fsync=*/false, /*keep_generations=*/100000, 0});
+      FaultPlaneConfig pcfg;
+      pcfg.checkpoint_every = kCadence;
+      FaultPlane plane(quiet, pcfg);
+      plane.set_durable_store(&store);
+      CancelPoint stop;
+      stop.cancel_at_superstep(total - 2);
+      cfg = base;
+      cfg.cancel = &stop;
+      cfg.fault = &plane;
+      EXPECT_THROW((void)run_engine(mode, dg, k, cfg), QueryCancelled) << name;
+    }
+    const auto gens = DurableStore::list_generations(dir);
+    ASSERT_TRUE(gens.ok()) << name;
+    ASSERT_EQ(gens.value().size(), (total - 2 + kCadence - 1) / kCadence) << name;
+
+    // Second lifetime, once per generation and thread count.
+    for (const auto& [ordinal, path] : gens.value()) {
+      const auto frame =
+          RecoveryManager::load_frame(path, {BoruvkaEngine::kStateVersion, 0, k});
+      ASSERT_TRUE(frame.ok()) << name << " " << frame.error().message;
+      for (const unsigned threads : {1u, 2u, 8u}) {
+        FaultPlane plane(quiet);
+        plane.arm_resume(&frame.value());
+        cfg = base;
+        cfg.threads = threads;
+        cfg.fault = &plane;
+        EXPECT_EQ(run_engine(mode, dg, k, cfg), expect)
+            << name << " generation " << ordinal << " threads=" << threads;
+        EXPECT_EQ(plane.stats().resumes, 1u);
+      }
+    }
+  }
+}
+
+TEST(DurablePlaneDeath, BoruvkaRestoreRejectsOutOfRangeWords) {
+  // restore() decodes words a frame carried from disk. Take machine 1's
+  // snapshot after phase 0's proxy step, when it holds parts, hosted
+  // labels and proxy records, and damage one word per case.
+  const Graph g = test_graph(128, 11);
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 4;
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 9));
+  Cluster cluster(ClusterConfig::for_graph(n, k));
+  const BoruvkaConfig cfg;
+  BoruvkaEngine engine(cluster, dg, cfg, BoruvkaMode::kConnectivity);
+  Runtime rt(cluster, cfg);
+  for (int s = 0; s < 4; ++s) {  // activity reduce, SS1, proxy step
+    (void)rt.step(engine, engine.next_mode());
+    engine.after_step();
+  }
+  WordWriter w;
+  engine.snapshot(1, w);
+  const std::vector<std::uint64_t> good = std::move(w).take();
+  {
+    WordReader r(good);
+    engine.restore(1, r);
+    EXPECT_TRUE(r.done());
+  }
+
+  // Snapshot layout per machine: mode, phase, segment, t, rho, bit,
+  // converged, components, sampler retries, one label per hosted vertex;
+  // then parts (count; label, finished, size, vertices), resend entries
+  // (count; label, threshold), proxy records (count; label, state, ...),
+  // forest edges and MST edges.
+  const std::size_t hosted = dg.vertices_of(1).size();
+  const std::size_t parts_at = 9 + hosted;
+  std::size_t pos = parts_at + 1;
+  const std::size_t first_part_vertex = pos + 3;
+  for (std::uint64_t p = 0; p < good[parts_at]; ++p) pos += 3 + good[pos + 2];
+  pos += 1 + 2 * good[pos];
+  const std::size_t records_at = pos;
+  ASSERT_GT(good[records_at], 0u);
+
+  struct Case {
+    const char* name;
+    std::size_t word;
+    std::uint64_t value;
+    const char* diagnostic;
+  };
+  const Case cases[] = {
+      {"mode", 0, 1, "`mode` word does not match"},
+      {"segment", 2, 99, "`segment` word is out of range"},
+      {"label >= n", 9, n + 5, "`label` word is not below n"},
+      {"foreign vertex", first_part_vertex, dg.vertices_of(0).front(), "not hosted here"},
+      {"record state", records_at + 2, 9, "record `state` word is out of range"},
+      {"count", parts_at, std::uint64_t{1} << 40, "`count` word exceeds the remaining words"},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::uint64_t> bad = good;
+    bad[c.word] = c.value;
+    EXPECT_DEATH(
+        {
+          WordReader r(bad);
+          engine.restore(1, r);
+        },
+        c.diagnostic)
+        << c.name;
   }
 }
 

@@ -4,7 +4,7 @@
 // counts. The invariants pinned here (CI also runs this suite under TSan):
 //   * an attached plane with an empty schedule is ledger-bit-identical to
 //     no plane at all (the seam costs nothing when silent);
-//   * crash recovery (checkpoint/replay, state hooks) produces answers
+//   * crash recovery (checkpoint/replay) produces answers
 //     equal to the fault-free run, with the recovered ledger identical for
 //     every thread count;
 //   * lossy links (drops, duplicates, reorders) never change answers —
@@ -204,6 +204,10 @@ TEST(FaultPlane, ConnectivityAndMstRecoverFromCrashesThreadInvariantly) {
       EXPECT_EQ(conn.forest_edges(), conn_clean.forest_edges()) << what;
       EXPECT_EQ(conn_plane.stats().crashes, 3u) << what;
       EXPECT_EQ(conn_plane.stats().restores, 3u) << what;
+      // Each victim rolls back to the newest checkpoint at or before its
+      // crash step and replays the steps in between.
+      EXPECT_EQ(conn_plane.stats().replayed_steps, 2 % cadence + 7 % cadence + 11 % cadence)
+          << what;
       conn_ledgers.push_back(ledger_key(cc.stats()));
 
       Cluster cm(ClusterConfig::for_graph(n, k));
@@ -220,6 +224,43 @@ TEST(FaultPlane, ConnectivityAndMstRecoverFromCrashesThreadInvariantly) {
       EXPECT_EQ(mst_ledgers[0], mst_ledgers[i]) << "cadence=" << cadence;
     }
   }
+}
+
+TEST(FaultPlane, BoruvkaReplaysAcrossIterationsUseTheirOwnSeeds) {
+  // A crash on each of the first 96 supersteps, round-robin over the
+  // machines, at cadence 8: some replay windows re-run a proxy step of an
+  // earlier elimination iteration than the live one, which must sketch and
+  // sample with that iteration's seed, not the live builder's.
+  Rng wrng(5);
+  const Graph g = with_unique_weights(with_random_weights(test_graph(192, 17), wrng, 100000));
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 8;
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 13));
+  BoruvkaConfig base;
+  base.seed = 99;
+  Cluster c0(ClusterConfig::for_graph(n, k));
+  const BoruvkaResult clean = minimum_spanning_forest(c0, dg, base);
+  ASSERT_TRUE(clean.converged);
+
+  FaultSchedule sched(7);
+  for (std::uint64_t s = 0; s < 96; ++s) sched.add_crash(s, static_cast<MachineId>(s % k));
+  FaultPlaneConfig pcfg;
+  pcfg.checkpoint_every = 8;
+  std::vector<LedgerKey> ledgers;
+  for (const unsigned threads : {1u, 8u}) {
+    Cluster c(ClusterConfig::for_graph(n, k));
+    FaultPlane plane(sched, pcfg);
+    BoruvkaConfig cfg = base;
+    cfg.threads = threads;
+    cfg.fault = &plane;
+    const BoruvkaResult mst = minimum_spanning_forest(c, dg, cfg);
+    EXPECT_EQ(mst.labels, clean.labels) << "threads=" << threads;
+    EXPECT_EQ(mst.mst_edges(), clean.mst_edges()) << "threads=" << threads;
+    EXPECT_EQ(mst.sampler_retries, clean.sampler_retries) << "threads=" << threads;
+    EXPECT_EQ(plane.stats().crashes, 96u);
+    ledgers.push_back(ledger_key(c.stats()));
+  }
+  EXPECT_EQ(ledgers[0], ledgers[1]);
 }
 
 // ------------------------------------------------------------- lossy links
@@ -367,7 +408,7 @@ TEST(FaultPlane, TamperedSketchHeaderIsRetriedNotAborted) {
   EXPECT_TRUE(res.forest_edges().empty());
 }
 
-// -------------------------------------------- checkpoint/replay (rule 8a)
+// -------------------------------------------- checkpoint/replay (rule 8)
 
 /// Minimal checkpointable program: a k-machine ring where every machine
 /// folds each received word into a running value and forwards a token for
@@ -454,8 +495,8 @@ TEST(FaultPlaneDeathTest, UnrecoverableProgramAbortsWithRule8) {
   FaultPlane plane(sched);
   Cluster cluster(ClusterConfig{k, 64});
   Runtime rt(cluster, RuntimeConfig{1}, &plane);
-  // An ad-hoc lambda step with no hooks registered: not checkpointable and
-  // no restore hook — nothing the plane can recover with.
+  // An ad-hoc lambda step is not checkpointable: nothing the plane can
+  // recover with.
   EXPECT_DEATH((void)rt.step([](MachineId self, std::span<const Message>, Outbox& out) {
                  out.send((self + 1) % 4, 1, {std::uint64_t{1}}, 64);
                }),
