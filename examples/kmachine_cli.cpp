@@ -38,8 +38,8 @@
 //               --resume (restore the newest intact generation in
 //                 --durable-dir and continue; corrupt/torn/stale generations
 //                 are skipped with a diagnostic, never silently restored, and
-//                 a directory written for another graph, edge list, algorithm
-//                 or cluster shape exits 1)
+//                 a directory written for another graph, edge list, algorithm,
+//                 --coordinator/--coinflip setting or cluster shape exits 1)
 // Every value flag accepts both `--key value` and `--key=value`.
 // Flags are validated strictly: non-numeric or trailing-garbage values,
 // duplicate flags, zero where it has no meaning, and k > n or k < 2 are all
@@ -293,13 +293,15 @@ void print_fault_stats(const FaultPlane* plane) {
               static_cast<unsigned long long>(s.overhead_rounds));
 }
 
-/// Identity of (graph, algorithm, cluster shape, seed) stamped into every
-/// durable frame: a --resume against a directory written under different
-/// flags or another --input is rejected as kFingerprintMismatch instead of
-/// restoring alien state. `g` is the global graph when one exists; its edge
+/// Identity of (graph, algorithm, merge rules, cluster shape, seed) stamped
+/// into every durable frame: a --resume against a directory written under
+/// different flags or another --input is rejected as kFingerprintMismatch
+/// instead of restoring alien state. `g` is the global graph when one exists; its edge
 /// list (weights included) is folded in, since n and m alone cannot tell
 /// two input files apart. The algorithm is folded in because conn and mst
-/// frames share a state version.
+/// frames share a state version, and --coordinator and --coinflip because
+/// they change which proxy holds a record and how DRR attaches children,
+/// so a frame written under one setting is no state of a run under the other.
 std::uint64_t durable_fingerprint(const Options& opt, const Graph* g, std::size_t n,
                                   std::size_t m) {
   std::uint64_t fp = split(0x6475'7261'626cULL, n);
@@ -308,6 +310,8 @@ std::uint64_t durable_fingerprint(const Options& opt, const Graph* g, std::size_
   fp = split(fp, opt.seed);
   fp = split(fp, opt.bandwidth);
   fp = split(fp, opt.stream_ingest ? 1 : 0);
+  fp = split(fp, opt.coordinator ? 1 : 0);
+  fp = split(fp, opt.coinflip ? 1 : 0);
   for (const char c : opt.graph) fp = split(fp, static_cast<unsigned char>(c));
   for (const char c : opt.algo) fp = split(fp, static_cast<unsigned char>(c));
   if (g != nullptr) fp = split(fp, edge_list_fingerprint(g->edges()));

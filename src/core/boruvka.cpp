@@ -44,7 +44,10 @@ constexpr char kBadCount[] = "boruvka restore: a `count` word exceeds the remain
 /// Machine 0's OR-reduce outcome, as broadcast into machine i's inbox.
 bool broadcast_bit(std::span<const Message> inbox, std::uint32_t tag) {
   for (const Message& msg : inbox) {
-    if (msg.tag == tag) return msg.payload()[0] != 0;
+    if (msg.tag != tag) continue;
+    const std::uint64_t word = msg.payload()[0];
+    KMM_CHECK_MSG(word <= 1, "boruvka: OR-reduce broadcast word is not 0 or 1");
+    return word != 0;
   }
   KMM_CHECK_MSG(false, "boruvka: OR-reduce broadcast missing from the inbox");
   return false;
@@ -117,20 +120,15 @@ BoruvkaEngine::BoruvkaEngine(Cluster& cluster, const DistributedGraph& dg,
   result_.mst_by_machine.resize(k);
 }
 
-const GraphSketchBuilder& BoruvkaEngine::bind_builder(
-    std::optional<GraphSketchBuilder>& builder, std::uint64_t seed) {
+const GraphSketchBuilder& BoruvkaEngine::builder_for(MachineId i) {
+  const std::uint64_t seed = shared_.seed(ctl_[i].phase, ctl_[i].t, seed_purpose::kSketch);
+  std::optional<GraphSketchBuilder>& builder = builders_[i];
   if (!builder.has_value()) {
     builder.emplace(n_, seed, config_.sketch_copies);
   } else if (builder->seed() != seed) {
     builder->rebind(seed);
   }
   return *builder;
-}
-
-const GraphSketchBuilder& BoruvkaEngine::builder_for(MachineId i) {
-  const std::uint64_t seed = shared_.seed(ctl_[i].phase, ctl_[i].t, seed_purpose::kSketch);
-  if (live_builder_.has_value() && live_builder_->seed() == seed) return *live_builder_;
-  return bind_builder(builders_[i], seed);
 }
 
 ProxyMap BoruvkaEngine::elimination_proxies(std::uint32_t phase, std::uint32_t t) const {
@@ -884,9 +882,6 @@ void BoruvkaEngine::restore(MachineId m, WordReader& in) {
 
 void BoruvkaEngine::after_step() {
   const Control& c = ctl_[0];
-  if (c.seg == kSketch) {
-    (void)bind_builder(live_builder_, shared_.seed(c.phase, c.t, seed_purpose::kSketch));
-  }
   if (c.seg == kSketch && c.t == 0) {
     // The step that just ran began phase c.phase.
     PhaseTrace& trace = open_trace_.emplace();

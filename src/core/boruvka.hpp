@@ -30,8 +30,9 @@
 // and broadcasts the outcome, and every other machine reads it from its
 // inbox at the start of its next handler. With config.threads > 1 the k
 // machines' handlers run concurrently; they only write machine-indexed
-// state (machine_parts_[i], proxy_records_[i], builders_[i], ...) and read
-// the live sketch builder, which only the driver rebinds, between steps. A
+// state (machine_parts_[i], proxy_records_[i], builders_[i], ...), and
+// each machine sketches with its own builder, rebound from its own
+// position, so no handler rebinds a builder another machine reads. A
 // component's finished flag lives on each machine's part entry, read and
 // written only by the machines holding a part of it. The cluster ledger is
 // identical for every thread count (see runtime/runtime.hpp for why, and
@@ -183,8 +184,7 @@ class BoruvkaEngine final : public MachineProgram {
   /// machines move in lockstep): kInline for the control segments.
   [[nodiscard]] StepMode next_mode() const;
   /// Driver-side work after each step, keyed on the position that step
-  /// left: binding the live sketch builder when an elimination iteration
-  /// begins, the Section 2.2 randomness charge when a phase begins, and the
+  /// left: the Section 2.2 randomness charge when a phase begins, and the
   /// phase trace when one ends.
   void after_step();
   /// The result once done() (the program is spent).
@@ -304,13 +304,10 @@ class BoruvkaEngine final : public MachineProgram {
   void charge_phase_randomness();
   [[nodiscard]] ProxyMap elimination_proxies(std::uint32_t phase, std::uint32_t t) const;
   [[nodiscard]] ProxyMap merge_proxies(std::uint32_t phase, std::uint32_t rho) const;
-  /// A sketch builder bound to the shared seed of machine i's own
+  /// Machine i's sketch builder, rebound to the shared seed of its own
   /// (phase, t), so a replayed or resumed machine sketches with its own
-  /// iteration's seed: the live builder when it holds that seed, else
-  /// machine i's own. Allocation-free after the first call.
+  /// iteration's seed. Allocation-free after the first call.
   const GraphSketchBuilder& builder_for(MachineId i);
-  const GraphSketchBuilder& bind_builder(std::optional<GraphSketchBuilder>& builder,
-                                         std::uint64_t seed);
   /// A record's words: the handoff payload and the snapshot entry.
   static void write_record(WordWriter& w, Label label, const Record& rec);
   void send_handoffs(LabelRegistry<Record>& from, Outbox& out, const ProxyMap& to,
@@ -372,16 +369,11 @@ class BoruvkaEngine final : public MachineProgram {
   // Recycled L0Sampler storage: SS1 part sketches and proxy-side sums both
   // draw zeroed accumulators from here instead of constructing sketches.
   std::vector<SketchPool> sketch_pool_;
-  // Sketch builders (power tables refilled in place on rebind). The live
-  // builder is rebound only by the driver, between steps, to the iteration
-  // machine 0 enters, so no handler ever rebinds a builder another machine
-  // reads. A machine whose position needs another seed — replayed through
-  // an older iteration by the fault plane, or restored from a frame inside
-  // the first step of a resumed process, after the driver's last chance to
-  // bind — rebinds its own builder instead. One builder per machine for
-  // every step would rebind k power tables per iteration (measured: about
-  // 7 % more wall time on perfbench pipeline-gnm).
-  std::optional<GraphSketchBuilder> live_builder_;
+  // One sketch builder per machine (power table refilled in place on
+  // rebind), bound from the machine's own position: a live step never
+  // rebinds a builder another machine reads, and a machine the fault plane
+  // replays through an older iteration, or one restored inside the first
+  // step of a resumed process, sketches with its own iteration's seed.
   std::vector<std::optional<GraphSketchBuilder>> builders_;
 
   // Per-machine scratch (machine-indexed like the state above, so handlers

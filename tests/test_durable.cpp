@@ -612,7 +612,12 @@ TEST(DurablePlaneDeath, BoruvkaRestoreRejectsOutOfRangeWords) {
   for (std::uint64_t p = 0; p < good[parts_at]; ++p) pos += 3 + good[pos + 2];
   pos += 1 + 2 * good[pos];
   const std::size_t records_at = pos;
-  ASSERT_GT(good[records_at], 0u);
+  ASSERT_GE(good[parts_at], 2u);
+  ASSERT_GE(good[records_at], 2u);
+  // A record's words: label, state, parent, children_left, thr,
+  // has_candidate, cand_in, cand_out, cand_w, target, then the srcs mask.
+  const std::size_t second_part_label = first_part_vertex + good[parts_at + 3];
+  const std::size_t record_words = 10 + (k + 63) / 64;
 
   struct Case {
     const char* name;
@@ -627,6 +632,16 @@ TEST(DurablePlaneDeath, BoruvkaRestoreRejectsOutOfRangeWords) {
       {"foreign vertex", first_part_vertex, dg.vertices_of(0).front(), "not hosted here"},
       {"record state", records_at + 2, 9, "record `state` word is out of range"},
       {"count", parts_at, std::uint64_t{1} << 40, "`count` word exceeds the remaining words"},
+      {"bit flag", 5, 2, "`bit` flag word is not 0/1"},
+      {"converged flag", 6, 2, "`converged` flag word is not 0/1"},
+      {"finished flag", parts_at + 2, 2, "`finished` flag word is not 0/1"},
+      {"has_candidate flag", records_at + 6, 2, "`has_candidate` flag word is not 0/1"},
+      {"duplicate part label", second_part_label, good[parts_at + 1],
+       "a part label appears twice"},
+      {"duplicate record label", records_at + 1 + record_words, good[records_at + 1],
+       "a record label appears twice"},
+      {"srcs bit >= k", records_at + 11, good[records_at + 11] | (std::uint64_t{1} << k),
+       "`srcs` mask names a machine >= k"},
   };
   for (const Case& c : cases) {
     std::vector<std::uint64_t> bad = good;

@@ -230,7 +230,7 @@ TEST(FaultPlane, BoruvkaReplaysAcrossIterationsUseTheirOwnSeeds) {
   // A crash on each of the first 96 supersteps, round-robin over the
   // machines, at cadence 8: some replay windows re-run a proxy step of an
   // earlier elimination iteration than the live one, which must sketch and
-  // sample with that iteration's seed, not the live builder's.
+  // sample with that iteration's seed, not the live iteration's.
   Rng wrng(5);
   const Graph g = with_unique_weights(with_random_weights(test_graph(192, 17), wrng, 100000));
   const std::size_t n = g.num_vertices();
@@ -261,6 +261,36 @@ TEST(FaultPlane, BoruvkaReplaysAcrossIterationsUseTheirOwnSeeds) {
     ledgers.push_back(ledger_key(c.stats()));
   }
   EXPECT_EQ(ledgers[0], ledgers[1]);
+}
+
+TEST(FaultPlaneDeathTest, TamperedOrReduceBroadcastFailsANamedCheck) {
+  // Superstep 1 carries machine 0's broadcast of the activity OR-reduce,
+  // which machine 1 reads at superstep 2. A corruption mask other than 1
+  // makes the word neither 0 nor 1, and broadcast_bit rejects it by name.
+  // (Mask 1 flips 0 <-> 1 undetected; see ROADMAP item 5.)
+  const Graph g = test_graph(64, 3);
+  const std::size_t n = g.num_vertices();
+  const MachineId k = 4;
+  const DistributedGraph dg(g, VertexPartition::random(n, k, 9));
+  std::uint64_t seed = 0;
+  std::uint64_t mask = 0;
+  for (;; ++seed) {
+    FaultSchedule probe(seed);
+    probe.add_link_fault(1, 0, 1, 0, LinkFaultKind::kCorrupt);
+    ASSERT_TRUE(probe.corrupted(1, 0, 1, 0, &mask));
+    if (mask > 1) break;
+  }
+  FaultSchedule sched(seed);
+  sched.add_link_fault(1, 0, 1, 0, LinkFaultKind::kCorrupt);
+  EXPECT_DEATH(
+      {
+        Cluster cluster(ClusterConfig::for_graph(n, k));
+        FaultPlane plane(sched);
+        BoruvkaConfig cfg;
+        cfg.fault = &plane;
+        (void)connected_components(cluster, dg, cfg);
+      },
+      "OR-reduce broadcast word is not 0 or 1");
 }
 
 // ------------------------------------------------------------- lossy links
