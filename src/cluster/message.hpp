@@ -47,23 +47,25 @@ struct Message {
  public:
   std::uint64_t bits = 0;  // payload bits excluding header; 0 = 64*words
 
+  Message() = default;
+
   /// Build a message, spilling payloads longer than kInlinePayloadWords
   /// into `arena` (whose generation must outlive the message's delivery).
-  static Message make(MachineId src, MachineId dst, std::uint32_t tag,
-                      std::span<const std::uint64_t> payload, std::uint64_t bits,
-                      PayloadArena& arena) {
-    Message msg;
-    msg.src = src;
-    msg.dst = dst;
-    msg.tag = tag;
-    msg.bits = bits;
-    msg.words_ = static_cast<std::uint32_t>(payload.size());
+  /// Inline words past the payload stay zero. This is the only way a
+  /// message with a payload is made: Outbox::send constructs it in place in
+  /// its bucket, and decoders construct it where it is stored.
+  Message(MachineId src, MachineId dst, std::uint32_t tag,
+          std::span<const std::uint64_t> payload, std::uint64_t bits, PayloadArena& arena)
+      : src(src),
+        dst(dst),
+        tag(tag),
+        words_(static_cast<std::uint32_t>(payload.size())),
+        bits(bits) {
     if (payload.size() <= kInlinePayloadWords) {
-      std::copy(payload.begin(), payload.end(), msg.inline_.begin());
+      std::copy(payload.begin(), payload.end(), inline_.begin());
     } else {
-      msg.external_ = arena.intern(payload).data();
+      external_ = arena.intern(payload).data();
     }
-    return msg;
   }
 
   /// The payload as a read-only span; valid for the lifetime of the inbox

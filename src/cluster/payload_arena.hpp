@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -51,6 +52,14 @@ class PayloadArena {
   void reset() noexcept {
     active_ = 0;
     used_ = 0;
+  }
+
+  /// Whether `p` points into one of this arena's chunks (diagnostics only).
+  [[nodiscard]] bool owns(const std::uint64_t* p) const noexcept {
+    const std::less<const std::uint64_t*> before;
+    return std::any_of(chunks_.begin(), chunks_.end(), [&](const Chunk& c) {
+      return !before(p, c.data.get()) && before(p, c.data.get() + c.capacity);
+    });
   }
 
   /// Words of chunk capacity currently held (diagnostics only).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "util/assert.hpp"
 #include "util/codec.hpp"
@@ -11,85 +12,108 @@ namespace kmm {
 FloodExchange::FloodExchange(const DistributedGraph& dg, MachineId k)
     : dg_(&dg),
       message_bits_(2 * bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2))),
-      plan_(k),
-      built_(k, 0),
-      queue_(k) {}
+      slot_(dg.num_vertices()),
+      locals_(k) {}
 
-void FloodExchange::build(MachineId m) {
-  // Count first so the plan holds exactly its cut half-edges.
-  std::size_t cut = 0;
-  for (const Vertex v : dg_->vertices_of(m)) {
-    for (const auto& he : dg_->neighbors(v)) cut += dg_->home(he.to) != m ? 1 : 0;
-  }
-  auto& plan = plan_[m];
-  plan.reserve(cut);
-  for (const Vertex v : dg_->vertices_of(m)) {
+FloodExchange::Local& FloodExchange::prepare(MachineId m) {
+  Local& local = locals_[m];
+  if (local.built) return local;
+  const auto hosted = dg_->vertices_of(m);
+  for (std::size_t s = 0; s < hosted.size(); ++s) slot_[hosted[s]] = static_cast<std::uint32_t>(s);
+  // Count first so the plan and the adjacency hold exactly their half-edges.
+  std::size_t cut = 0, inner = 0;
+  for (const Vertex v : hosted) {
     for (const auto& he : dg_->neighbors(v)) {
-      if (dg_->home(he.to) != m) plan.push_back(std::uint64_t{he.to} << 32 | v);
+      if (dg_->home(he.to) != m) {
+        ++cut;
+      } else {
+        ++inner;
+      }
     }
   }
-  std::sort(plan.begin(), plan.end());
-  built_[m] = 1;
+  KMM_CHECK_MSG(inner <= std::numeric_limits<std::uint32_t>::max(),
+                "flood: a machine's local half-edges exceed 32-bit offsets");
+  local.plan.reserve(cut);
+  local.offsets.reserve(hosted.size() + 1);
+  local.adjacency.reserve(inner);
+  local.offsets.push_back(0);
+  for (std::size_t s = 0; s < hosted.size(); ++s) {
+    for (const auto& he : dg_->neighbors(hosted[s])) {
+      // Neighbors ascend by id, hence the local ones by slot.
+      if (dg_->home(he.to) != m) {
+        local.plan.push_back(std::uint64_t{he.to} << 32 | s);
+      } else {
+        local.adjacency.push_back(slot_[he.to]);
+      }
+    }
+    local.offsets.push_back(static_cast<std::uint32_t>(local.adjacency.size()));
+  }
+  std::sort(local.plan.begin(), local.plan.end());
+  local.built = true;
+  return local;
 }
 
-void FloodExchange::propagate(MachineId m, std::vector<Label>& labels,
-                              std::vector<char>& changed) {
-  auto& queue = queue_[m];
+void FloodExchange::propagate(Local& local, std::span<Label> labels, std::span<char> changed) {
+  auto& queue = local.queue;
   for (std::size_t head = 0; head < queue.size(); ++head) {
-    const Vertex v = queue[head];
-    for (const auto& he : dg_->neighbors(v)) {
-      if (dg_->home(he.to) != m) continue;
-      if (labels[v] < labels[he.to]) {
-        labels[he.to] = labels[v];
-        changed[he.to] = 1;
-        queue.push_back(he.to);
+    const std::uint32_t s = queue[head];
+    const Label label = labels[s];
+    for (std::uint32_t e = local.offsets[s]; e < local.offsets[s + 1]; ++e) {
+      const std::uint32_t t = local.adjacency[e];
+      if (label < labels[t]) {
+        labels[t] = label;
+        changed[t] = 1;
+        queue.push_back(t);
       }
     }
   }
   queue.clear();
 }
 
-void FloodExchange::start(MachineId m, std::vector<Label>& labels, std::vector<char>& changed) {
-  queue_[m].assign(dg_->vertices_of(m).begin(), dg_->vertices_of(m).end());
-  propagate(m, labels, changed);
+void FloodExchange::start(MachineId m, std::span<Label> labels, std::span<char> changed) {
+  Local& local = prepare(m);
+  local.queue.resize(labels.size());
+  std::iota(local.queue.begin(), local.queue.end(), std::uint32_t{0});
+  propagate(local, labels, changed);
 }
 
-void FloodExchange::receive(MachineId m, std::span<const Message> inbox,
-                            std::vector<Label>& labels, std::vector<char>& changed) {
+void FloodExchange::receive(MachineId m, std::span<const Message> inbox, std::span<Label> labels,
+                            std::span<char> changed) {
+  Local& local = prepare(m);
   for (const Message& msg : inbox) {
     if (msg.tag != kTag) continue;
     KMM_DCHECK(msg.payload_words() >= 2);
     const auto v = static_cast<Vertex>(msg.payload()[0]);
     KMM_CHECK_MSG(dg_->home(v) == m, "flood label for a vertex homed elsewhere");
+    const std::uint32_t s = slot_[v];
     const Label label = msg.payload()[1];
-    if (label < labels[v]) {
-      labels[v] = label;
-      changed[v] = 1;
-      queue_[m].push_back(v);
+    if (label < labels[s]) {
+      labels[s] = label;
+      changed[s] = 1;
+      local.queue.push_back(s);
     }
   }
-  propagate(m, labels, changed);
+  propagate(local, labels, changed);
 }
 
-bool FloodExchange::send(MachineId m, const std::vector<Label>& labels,
-                         std::vector<char>& changed, Outbox& out) {
-  if (!built_[m]) build(m);
+bool FloodExchange::send(MachineId m, std::span<const Label> labels, std::span<char> changed,
+                         Outbox& out) {
   constexpr Label kNone = std::numeric_limits<Label>::max();
-  const auto& plan = plan_[m];
+  const auto& plan = prepare(m).plan;
   bool sent = false;
   for (std::size_t i = 0; i < plan.size();) {
     const auto target = static_cast<Vertex>(plan[i] >> 32);
     Label best = kNone;
     for (; i < plan.size() && static_cast<Vertex>(plan[i] >> 32) == target; ++i) {
-      const auto v = static_cast<Vertex>(plan[i]);
-      if (changed[v]) best = std::min(best, labels[v]);
+      const auto s = static_cast<std::uint32_t>(plan[i]);
+      if (changed[s]) best = std::min(best, labels[s]);
     }
     if (best != kNone) {
       out.send(dg_->home(target), kTag, {target, best}, message_bits_);
       sent = true;
     }
   }
-  for (const Vertex v : dg_->vertices_of(m)) changed[v] = 0;
+  std::fill(changed.begin(), changed.end(), char{0});
   return sent;
 }
 

@@ -20,6 +20,13 @@
 // The extra k(k-1) one-bit control messages per superstep are this
 // engine's ledger signature: an OR-reduce flattened into the data
 // supersteps.
+//
+// State layout (rule 3): each machine keeps its labels and changed flags in
+// its own allocation, indexed by slot — a hosted vertex's position in
+// dg.vertices_of(m) — so a handler never writes a cache line another
+// machine touches. Slot order is hosted order, so a snapshot writes
+// (label, changed) per hosted vertex in ascending id, the layout of
+// kStateVersion 1. take_labels() gathers the result by vertex id once.
 
 #include <cstdint>
 #include <vector>
@@ -45,28 +52,33 @@ class FloodProgram final : public MachineProgram {
   void restore(MachineId m, WordReader& in) override;
   [[nodiscard]] std::uint64_t state_version() const override { return kStateVersion; }
 
-  /// Move the labels out once the run is over (the program is spent).
-  [[nodiscard]] std::vector<Label> take_labels() noexcept { return std::move(labels_); }
+  /// The final labels, indexed by vertex id, gathered once from the
+  /// machines' slot-indexed state (the program is spent afterwards).
+  [[nodiscard]] std::vector<Label> take_labels();
   /// Supersteps executed, counted across process lifetimes (restored from
   /// frames), so a resumed run reports the same total as an uninterrupted
   /// one.
-  [[nodiscard]] std::uint64_t supersteps() const noexcept { return steps_.empty() ? 0 : steps_[0]; }
+  [[nodiscard]] std::uint64_t supersteps() const noexcept {
+    return machines_.empty() ? 0 : machines_[0].steps;
+  }
 
  private:
   const DistributedGraph* dg_;
   MachineId k_;
   FloodExchange exchange_;
 
-  // Machine-partitioned shared state (rule 3): labels_[v]/changed_[v] are
-  // touched only by the handler of dg.home(v); the per-machine vectors only
-  // by handler m at index m. Serialized state is everything a handler reads
-  // across steps. exchange_'s boundary plan is structural and its queues
+  // machines_[m] is touched during a step only by m's handler (see "State
+  // layout" above). Serialized state is everything a handler reads across
+  // steps. exchange_'s structure is derived from the graph and its queues
   // are empty between steps, so neither is serialized.
-  std::vector<Label> labels_;
-  std::vector<char> changed_;
-  std::vector<char> sent_;              // [m] flag broadcast last superstep
-  std::vector<char> done_;              // [m] fixpoint observed
-  std::vector<std::uint64_t> steps_;    // [m] supersteps executed (lockstep)
+  struct alignas(64) Machine {
+    std::vector<Label> labels;   // [slot]
+    std::vector<char> changed;   // [slot]
+    std::uint64_t steps = 0;     // supersteps executed (lockstep)
+    char sent = 0;               // flag broadcast last superstep
+    char done = 0;               // fixpoint observed
+  };
+  std::vector<Machine> machines_;  // [m]
 };
 
 }  // namespace kmm

@@ -338,10 +338,9 @@ Expected<DurableFrame, DurableError> decode_frame(std::span<const std::uint64_t>
                                            "inbox message with impossible routing fields"));
       }
       KMM_CHECK(r.span(static_cast<std::size_t>(payload), section));
-      frame.inbox[m].push_back(Message::make(static_cast<MachineId>(src),
-                                             static_cast<MachineId>(dst),
-                                             static_cast<std::uint32_t>(tag), section, bits,
-                                             frame.payloads));
+      frame.inbox[m].emplace_back(static_cast<MachineId>(src), static_cast<MachineId>(dst),
+                                  static_cast<std::uint32_t>(tag), section, bits,
+                                  frame.payloads);
     }
   }
   return FrameResult(std::move(frame));

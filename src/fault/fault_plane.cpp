@@ -240,8 +240,8 @@ void FaultPlane::apply_link_faults(Cluster& cluster, std::span<OutboxShard> shar
           auto payload = msg.payload();
           corrupt_words_.assign(payload.begin(), payload.end());
           corrupt_words_.back() ^= mask;
-          msg = Message::make(msg.src, msg.dst, msg.tag, corrupt_words_, msg.bits,
-                              shards[src].arena);
+          msg = Message(msg.src, msg.dst, msg.tag, corrupt_words_, msg.bits,
+                        shards[src].arena);
           ++stats_.corruptions;
           ++step_events_;
         }

@@ -11,7 +11,8 @@
 // (source, send order) however handler execution interleaved across
 // threads. Payloads are passed as spans and copied at send time (inline in
 // the Message when <= kInlinePayloadWords, else into the shard's arena), so
-// callers may reuse their scratch buffers immediately.
+// callers may reuse their scratch buffers immediately. Each Message is
+// constructed in place in its bucket: no temporary is built and copied.
 
 #include <cstdint>
 #include <initializer_list>
@@ -39,7 +40,7 @@ class Outbox {
   void send(MachineId dst, std::uint32_t tag, std::span<const std::uint64_t> payload,
             std::uint64_t bits = 0) {
     KMM_CHECK(dst < k_);
-    shard_->buckets[dst].push_back(Message::make(self_, dst, tag, payload, bits, shard_->arena));
+    shard_->buckets[dst].emplace_back(self_, dst, tag, payload, bits, shard_->arena);
   }
 
   void send(MachineId dst, std::uint32_t tag, std::initializer_list<std::uint64_t> payload,

@@ -50,10 +50,18 @@
 //      delivered to machine i. A read-only step that sends nothing is a
 //      free superstep (no ledger effect), so pure collection/local-compute
 //      steps cost nothing.
-//   3. Shared state must become machine-indexed: state[i] (or labels[v]
-//      with home(v) == i) is written only by handler i. FloodProgram's
-//      shared labels/changed vectors follow this partition and assert it on
-//      the receive path. Per-component state follows the machines that
+//   3. Shared state must become machine-owned: machine i's state is
+//      written only by handler i. State a handler writes every superstep
+//      lives in per-machine storage — one allocation per machine, indexed
+//      by a hosted vertex's slot (its position in vertices_of(i)) — not in
+//      n-long per-vertex arrays indexed by vertex id: under a random
+//      partition those interleave the machines' cells, so each handler's
+//      accesses scatter over the whole array and cache lines bounce between
+//      threads. FloodProgram is the model (per-machine slot-indexed labels
+//      and changed flags, a home(v) == i check on the receive path): moving
+//      them out of two shared n-long vectors cut perfbench flood-durable's
+//      runtime.handler_ms from 570 to 345 ms per pass (150x150 grid, k =
+//      16, 4 threads, 4 cores). Per-component state follows the machines that
 //      hold the component: the Borůvka engine keeps a component's finished
 //      flag on each machine's part entry, read and written only by the
 //      machines holding a part of it. Whole-cluster state (the Borůvka

@@ -13,9 +13,11 @@
 // plane's 0 allocs/superstep (PR 3); bench_boruvka_hotpath reports the same
 // quantity with throughput numbers against the checked-in baseline.
 //
-// It also pins the durable commit: a warm FaultPlane + DurableStore commit
-// performs the same small, constant number of allocations (path strings)
-// whatever the size of the inbox window it encodes.
+// It also pins the flood: once its first exchange has sized every buffer,
+// a warm FloodProgram superstep allocates nothing. And it pins the durable
+// commit: a warm FaultPlane + DurableStore commit performs the same small,
+// constant number of allocations (path strings) whatever the size of the
+// inbox window it encodes.
 
 #include <stdlib.h>  // mkdtemp
 
@@ -296,6 +298,38 @@ int main() {
     obs::set_alloc_count_source(nullptr);
     std::printf("obs plane: steady-state supersteps allocation-free with sinks "
                 "off and on\n");
+  }
+
+  // Flood steady state: the first exchange builds each machine's slot
+  // table, boundary plan and local adjacency and sizes the queues,
+  // buckets and inboxes (every hosted vertex starts changed, so it sends
+  // the most messages a flood superstep can). After it, a warm FloodProgram
+  // superstep — receive, local fixpoint, boundary scan, in-place sends,
+  // delivery — allocates nothing, sinks off.
+  for (const unsigned threads : {1u, 4u}) {
+    constexpr MachineId kMachines = 8;
+    constexpr std::size_t kRows = 40;
+    constexpr int kFloodSteps = 32;
+    const Graph fg = gen::grid(kRows, kRows);
+    const DistributedGraph fdg(fg, VertexPartition::random(kRows * kRows, kMachines, 21));
+    Cluster cluster(ClusterConfig::for_graph(kRows * kRows, kMachines));
+    FloodProgram program(fdg, kMachines);
+    Runtime rt(cluster, RuntimeConfig{threads});
+    for (int s = 0; s < 2; ++s) (void)rt.step(program);  // first exchange, first receive
+    const auto f0 = alloc_count();
+    int steps = 0;
+    for (; steps < kFloodSteps && !program.done(); ++steps) (void)rt.step(program);
+    const auto flood_allocs = alloc_count() - f0;
+    char what[96];
+    std::snprintf(what, sizeof what, "warm flood superstep allocations (threads=%u)", threads);
+    EXPECT_ZERO(flood_allocs, what);
+    if (steps != kFloodSteps) {
+      std::printf("FAIL: the flood converged after %d measured supersteps, before %d\n", steps,
+                  kFloodSteps);
+      ++failures;
+    }
+    std::printf("flood: %d warm supersteps at threads=%u, %llu allocations\n", steps, threads,
+                static_cast<unsigned long long>(flood_allocs));
   }
 
   // Durable commit: the frame is encoded straight from the checkpoint

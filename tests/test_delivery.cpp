@@ -158,6 +158,59 @@ TEST(DeliveryPlane, SpilledPayloadsStayValidForTheWholeInboxGeneration) {
   EXPECT_EQ(checked, 1);
 }
 
+TEST(DeliveryPlane, OutboxSendBuildsTheSameMessageAsTheConstructor) {
+  // Outbox::send constructs each Message in place in its bucket. It must
+  // equal a Message built by value from the same fields, for inline (0, 1
+  // and kInlinePayloadWords words) and spilled (5 and 16 words) payloads,
+  // with bits 0 (64 per word) and with declared bits. A spilled payload
+  // lives in the sending shard's arena and is read in place from the inbox
+  // after delivery.
+  static_assert(kInlinePayloadWords == 4);
+  constexpr MachineId k = 3;
+  std::vector<std::uint64_t> words(16);
+  for (std::size_t w = 0; w < words.size(); ++w) words[w] = 0x9e3779b97f4a7c15ULL * (w + 1);
+  for (const std::size_t size : {0u, 1u, 4u, 5u, 16u}) {
+    for (const std::uint64_t bits : {std::uint64_t{0}, std::uint64_t{77}}) {
+      SCOPED_TRACE(testing::Message() << size << " words, bits " << bits);
+      const std::span<const std::uint64_t> payload(words.data(), size);
+      PayloadArena by_value_arena;
+      const Message want(1, 2, 7, payload, bits, by_value_arena);
+
+      std::vector<OutboxShard> shards(k);
+      for (auto& shard : shards) shard.resize(k);
+      Outbox out(shards[1], 1, k);
+      out.send(2, 7, payload, bits);
+      ASSERT_EQ(shards[1].buckets[2].size(), 1u);
+      const Message& got = shards[1].buckets[2][0];
+      EXPECT_EQ(got.src, want.src);
+      EXPECT_EQ(got.dst, want.dst);
+      EXPECT_EQ(got.tag, want.tag);
+      EXPECT_EQ(got.bits, want.bits);
+      EXPECT_EQ(got.payload_words(), want.payload_words());
+      EXPECT_EQ(got.wire_bits(), want.wire_bits());
+      EXPECT_EQ(got.wire_bits(), (bits != 0 ? bits : 64 * size) + kMessageHeaderBits);
+      ASSERT_TRUE(std::ranges::equal(got.payload(), want.payload()));
+      ASSERT_TRUE(std::ranges::equal(got.payload(), payload));
+      const bool spilled = size > kInlinePayloadWords;
+      const std::uint64_t* stored = got.payload().data();
+      EXPECT_EQ(shards[1].arena.owns(stored), spilled);
+      EXPECT_EQ(by_value_arena.owns(want.payload().data()), spilled);
+
+      Cluster cluster(ClusterConfig{.k = k, .bandwidth_bits = 1 << 20});
+      cluster.deliver_shards_begin(shards);
+      for (MachineId d = 0; d < k; ++d) cluster.deliver_shard_to(d);
+      (void)cluster.deliver_shards_finish();
+      const auto inbox = cluster.inbox(2);
+      ASSERT_EQ(inbox.size(), 1u);
+      EXPECT_EQ(inbox[0].wire_bits(), want.wire_bits());
+      EXPECT_TRUE(std::ranges::equal(inbox[0].payload(), payload));
+      if (spilled) {
+        EXPECT_EQ(inbox[0].payload().data(), stored);
+      }
+    }
+  }
+}
+
 TEST(DeliveryPlane, MixedDirectAndInlineStepsShareOneLedger) {
   // Alternating StepMode::kInline (delivery tasks on the calling thread)
   // and parallel (delivery tasks on the pool) supersteps must accumulate

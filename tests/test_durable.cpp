@@ -161,12 +161,11 @@ TEST(DurablePlane, FrameRoundTripsBitForBit) {
   frame.ledger.superstep_link_max.add(8.25);
   frame.ledger.sent_bits_by_machine = {100, 200, 300};
   frame.ledger.received_bits_by_machine = {300, 200, 100};
-  frame.inbox[1].push_back(Message::make(0, 1, 9, std::vector<std::uint64_t>{5, 6}, 128,
-                                         frame.payloads));
-  frame.inbox[1].push_back(Message::make(2, 1, 4, std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6},
-                                         0, frame.payloads));  // spilled to the arena
-  frame.inbox[2].push_back(Message::make(1, 2, 2, std::vector<std::uint64_t>{0}, 1,
-                                         frame.payloads));
+  frame.inbox[1].emplace_back(0, 1, 9, std::vector<std::uint64_t>{5, 6}, 128,
+                              frame.payloads);
+  frame.inbox[1].emplace_back(2, 1, 4, std::vector<std::uint64_t>{1, 2, 3, 4, 5, 6}, 0,
+                              frame.payloads);  // spilled to the arena
+  frame.inbox[2].emplace_back(1, 2, 2, std::vector<std::uint64_t>{0}, 1, frame.payloads);
 
   WordWriter w;
   encode_frame(frame, w);
@@ -460,8 +459,8 @@ TEST(DurablePlaneDeath, FloodRestoreRejectsOutOfRangeWords) {
     bad.ledger = good.ledger;
     for (MachineId m = 0; m < k; ++m) {
       for (const Message& msg : good.inbox[m]) {
-        bad.inbox[m].push_back(Message::make(msg.src, msg.dst, msg.tag, msg.payload(), msg.bits,
-                                             bad.payloads));
+        bad.inbox[m].emplace_back(msg.src, msg.dst, msg.tag, msg.payload(), msg.bits,
+                                  bad.payloads);
       }
     }
     WordWriter w;

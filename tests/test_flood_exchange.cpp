@@ -3,7 +3,9 @@
 // hosted vertex, sort, keep the first (minimum) entry per target and send
 // it with 2 * bits(n) declared bits. The exchange must emit the same
 // (dst, target, label) sequence per machine, with the same tag and bits, on
-// both DistributedGraph backends.
+// both DistributedGraph backends. The reference reads global per-vertex
+// arrays; the exchange reads each machine's slot-indexed copy of them
+// (slot = position in vertices_of(m)).
 
 #include <gtest/gtest.h>
 
@@ -18,6 +20,22 @@ namespace {
 
 using Send = std::tuple<MachineId, Vertex, Label>;  // (dst, target, label)
 
+/// Machine m's slot-indexed copy of a global per-vertex array.
+template <typename T>
+std::vector<T> slots_of(const DistributedGraph& dg, MachineId m, const std::vector<T>& global) {
+  std::vector<T> local;
+  for (const Vertex v : dg.vertices_of(m)) local.push_back(global[v]);
+  return local;
+}
+
+/// Writes machine m's slot-indexed values back into a global array.
+template <typename T>
+void scatter(const DistributedGraph& dg, MachineId m, const std::vector<T>& local,
+             std::vector<T>& global) {
+  const auto hosted = dg.vertices_of(m);
+  ASSERT_EQ(local.size(), hosted.size());
+  for (std::size_t s = 0; s < hosted.size(); ++s) global[hosted[s]] = local[s];
+}
 
 /// The replaced gather -> sort -> unique, kept as the reference.
 std::vector<Send> reference_sends(const DistributedGraph& dg, MachineId m,
@@ -43,7 +61,9 @@ std::vector<Send> reference_sends(const DistributedGraph& dg, MachineId m,
 /// Runs the exchange for machine m into a private shard and reassembles its
 /// send sequence. Each destination bucket keeps send order; the reference
 /// order is ascending target, so a bucket must be strictly ascending and a
-/// merge by target restores the full sequence.
+/// merge by target restores the full sequence. `labels` and `changed` are
+/// global; the exchange gets m's slots and its cleared bits are scattered
+/// back.
 std::vector<Send> exchange_sends(FloodExchange& ex, const DistributedGraph& dg, MachineId m,
                                  const std::vector<Label>& labels, std::vector<char>& changed,
                                  bool* sent) {
@@ -51,7 +71,9 @@ std::vector<Send> exchange_sends(FloodExchange& ex, const DistributedGraph& dg, 
   OutboxShard shard;
   shard.resize(k);
   Outbox out(shard, m, k);
-  *sent = ex.send(m, labels, changed, out);
+  std::vector<char> local_changed = slots_of(dg, m, changed);
+  *sent = ex.send(m, slots_of(dg, m, labels), local_changed, out);
+  scatter(dg, m, local_changed, changed);
   const std::uint64_t bits = 2 * bits_for(std::max<std::uint64_t>(dg.num_vertices(), 2));
   std::vector<Send> sends;
   for (MachineId dst = 0; dst < k; ++dst) {
@@ -122,10 +144,41 @@ TEST(FloodExchange, MatchesSortedCandidateReference) {
   }
 }
 
+TEST(FloodExchange, MatchesReferenceWithoutLocalNeighborsOrHostedVertices) {
+  // A bipartite split puts every neighbor of machine 0's vertices on
+  // machine 1 and back, so neither machine has a local half-edge (the
+  // local adjacency is empty; every half-edge is in the plan). With k
+  // close to n, a random partition leaves machines that host no vertex:
+  // their plan and state are empty and they send nothing.
+  const std::size_t n = 40;
+  const Graph cycle = gen::cycle(n);
+  std::vector<MachineId> table(n);
+  for (Vertex v = 0; v < n; ++v) table[v] = v % 2;
+  const DistributedGraph split_dg(cycle, VertexPartition::from_table(table, 2));
+  for (MachineId m = 0; m < 2; ++m) {
+    for (const Vertex v : split_dg.vertices_of(m)) {
+      for (const auto& he : split_dg.neighbors(v)) ASSERT_NE(split_dg.home(he.to), m);
+    }
+  }
+  expect_matches_reference("no local neighbor", split_dg);
+
+  Rng rng(3);
+  const Graph g = gen::gnm(n, 3 * n, rng);
+  const DistributedGraph crowded(g, VertexPartition::random(n, n - 2, 5));
+  MachineId empty = 0;
+  for (MachineId m = 0; m < crowded.machines(); ++m) {
+    if (crowded.vertices_of(m).empty()) ++empty;
+  }
+  ASSERT_GT(empty, 0u) << "k close to n should leave a machine without vertices";
+  expect_matches_reference("k close to n", crowded);
+}
+
 TEST(FloodExchange, StartAndReceiveReachTheHostedFixpoint) {
   // A path on one machine settles to label 0 from its hosted vertices
   // alone; on two machines, a label received for the cut endpoint spreads
-  // through that machine's hosted run and marks each lowered vertex.
+  // through that machine's hosted run and marks each lowered vertex. State
+  // is slot-indexed; on these partitions slot s of machine m is vertex
+  // s + m * n / 2.
   const std::size_t n = 64;
   const Graph g = gen::path(n);
   {
@@ -145,8 +198,8 @@ TEST(FloodExchange, StartAndReceiveReachTheHostedFixpoint) {
     for (Vertex v = 0; v < n / 2; ++v) table[v] = 0;
     const DistributedGraph dg(g, VertexPartition::from_table(table, 2));
     FloodExchange ex(dg, 2);
-    std::vector<Label> labels(n, 40);
-    std::vector<char> changed(n, 0);
+    std::vector<Label> labels(n / 2, 40);
+    std::vector<char> changed(n / 2, 0);
     Cluster cluster(ClusterConfig::for_graph(n, 2));
     Runtime rt(cluster);
     rt.step([&](MachineId m, std::span<const Message>, Outbox& out) {
@@ -156,9 +209,9 @@ TEST(FloodExchange, StartAndReceiveReachTheHostedFixpoint) {
     rt.step([&](MachineId m, std::span<const Message> inbox, Outbox&) {
       if (m == 1) ex.receive(1, inbox, labels, changed);
     });
-    for (Vertex v = 0; v < n; ++v) {
-      EXPECT_EQ(labels[v], v < n / 2 ? 40u : 5u) << v;
-      EXPECT_EQ(changed[v], v < n / 2 ? 0 : 1) << v;
+    for (std::size_t s = 0; s < n / 2; ++s) {
+      EXPECT_EQ(labels[s], 5u) << "vertex " << s + n / 2;
+      EXPECT_EQ(changed[s], 1) << "vertex " << s + n / 2;
     }
   }
 }
